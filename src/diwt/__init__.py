@@ -29,7 +29,9 @@ from .quad import (
     MellinBarnesSpec,
     QuadSpec,
     integrate_finite,
+    integrate_finite_rows,
     integrate_semi_infinite,
+    integrate_semi_infinite_rows,
     integrate_vertical_line,
 )
 from .specfun import (
@@ -67,8 +69,10 @@ from .transforms import (
     admissibility_sum,
     closed_form_coefficients,
     coefficient_transform,
+    coefficient_transform_many,
     forward_series,
     function_from_profile,
+    invert_many,
     invert_series,
     invert_series_kl,
     synthesize_series,

@@ -64,10 +64,10 @@ from .transforms import (
     SampledHandle,
     TransformParams,
     closed_form_coefficients,
-    coefficient_transform,
+    coefficient_transform_many,
     forward_series,
     function_from_profile,
-    invert_series,
+    invert_many,
     synthesize_series,
 )
 
@@ -384,17 +384,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise PersistenceError(f"cannot write {path}: {exc}") from exc
 
 
-def _quad_dict(quad: QuadSpec) -> dict:
-    return {
-        "abs_tol": quad.abs_tol,
-        "rel_tol": quad.rel_tol,
-        "max_refinements": quad.max_refinements,
-        "max_evals": quad.max_evals,
-        "precision": quad.precision,
-        "dps": quad.dps,
-    }
-
-
 def _deliver(args, command: str, cfg: dict, quad: QuadSpec, text: str,
              started: float, out_path: str | None = None) -> None:
     """Send the payload to a file (atomic, with manifest) or to stdout."""
@@ -407,7 +396,7 @@ def _deliver(args, command: str, cfg: dict, quad: QuadSpec, text: str,
         "command": command,
         "config": cfg,
         "outputs": {path: _sha256(text)},
-        "quad": _quad_dict(quad),
+        "quad": quad.as_dict(),
         "tool_version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
     })
@@ -539,10 +528,9 @@ def _cmd_invert(args) -> int:
     f = _handle_from_config(cfg)
     params = TransformParams(float(cfg["mu"]), float(cfg.get("delta", 0.0)))
     lo, hi = _checked_range(cfg["n_range"])
-    rows = []
-    for n in range(lo, hi + 1):
-        r = invert_series(f, params, n, quad)
-        rows.append([str(n), _g17(r.value), _g17(r.error_bound)])
+    ns = range(lo, hi + 1)
+    rows = [[str(n), _g17(r.value), _g17(r.error_bound)]
+            for n, r in zip(ns, invert_many(f, params, ns, quad))]
     _deliver(args, "invert", cfg, quad,
              _csv(["n", "value", "error_bound"], rows), started)
     return EXIT_OK
@@ -554,8 +542,9 @@ def _cmd_coeff(args) -> int:
     quad = _quad_of(cfg)
     f = _handle_from_config(cfg)
     lo, hi = _checked_range(cfg["n_range"])
-    rows = [[str(n), _g17(coefficient_transform(f, float(cfg["mu"]), n, quad))]
-            for n in range(lo, hi + 1)]
+    ns = range(lo, hi + 1)
+    rows = [[str(n), _g17(v)]
+            for n, v in zip(ns, coefficient_transform_many(f, float(cfg["mu"]), ns, quad))]
     _deliver(args, "coeff", cfg, quad, _csv(["n", "value"], rows), started)
     return EXIT_OK
 
@@ -586,9 +575,9 @@ def _roundtrip_theorem1(cfg: dict, quad: QuadSpec) -> dict:
         f = ForwardHandle(seq, mu)
         params = TransformParams(mu, float(cfg.get("delta", 0.0)))
         lo, hi = _checked_range(cfg.get("n_range", [1, len(coeffs)]))
-        for n in range(lo, hi + 1):
+        ns = range(lo, hi + 1)
+        for n, r in zip(ns, invert_many(f, params, ns, quad)):
             target = coeffs[n - 1] if n <= len(coeffs) else 0.0
-            r = invert_series(f, params, n, quad)
             err = abs(r.value - target)
             rows.append({
                 "n": n,
@@ -671,7 +660,7 @@ def serialize_kernel_table(table: KernelTable) -> str:
     17 significant digits everywhere, so parse + re-serialize is the
     identity on the bytes.
     """
-    q = {**_quad_dict(DEFAULT_SPEC), **table.meta.get("quad", {})}
+    q = {**DEFAULT_SPEC.as_dict(), **table.meta.get("quad", {})}
     failed = {(i, j) for i, j, _ in table.failures}
     lines = [
         f"{_TABLE_SIGNATURE} {table.meta.get('tool_version', __version__)}",

@@ -27,7 +27,7 @@ recorded per entry instead of aborting the whole build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__ as _tool_version
 from .errors import DiwtError, DomainError, NonConvergence, OrderError
-from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite
+from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
 from .specfun import ComplexIndex, erfcx, parabolic_cylinder_d_scaled
 
 __all__ = [
@@ -106,47 +106,67 @@ def _inner_rel_tol(quad: QuadSpec) -> float:
 def _kernel_eval(kind: KernelKind, mu: float, nu: complex, x: float,
                  quad: QuadSpec):
     """Dispatch one kernel integral; returns (value, error_estimate, converged)."""
+    return _kernel_eval_many(kind, mu, [nu], x, [quad])[0]
+
+
+def _kernel_eval_many(kind: KernelKind, mu: float, ns, x: float, specs) -> list[tuple]:
+    """Kernel integrals at one x for several indices on shared u nodes.
+
+    The profile (scaled cylinder function, or scaled erfc for ERFC_COS)
+    does not depend on the index, so it is evaluated once per u level for
+    all indices, and only the trigonometric factor is formed per index.
+    ``specs`` holds one QuadSpec per index; they may differ in abs_tol
+    only.  Returns one (value, error_estimate, converged) per index, equal
+    to what a separate call for that index gives (for a real index mixed
+    with complex ones, up to the last bit; see integrate_finite_rows).
+    """
+    ns = [complex(nu) for nu in ns]
+    quad = specs[0]
+    if any(replace(s, abs_tol=quad.abs_tol) != quad for s in specs):
+        raise ValueError("kernel specs for shared nodes may differ in abs_tol only")
     if quad.precision == "extended":
-        v = _kernel_eval_mp(kind, mu, nu, x, quad.dps)
-        return v, 10.0 ** (-quad.dps + 2), True
+        return [(_kernel_eval_mp(kind, mu, nu, x, quad.dps), 10.0 ** (-quad.dps + 2), True)
+                for nu in ns]
 
     root2x = math.sqrt(2.0 * x)
     rootx = math.sqrt(x)
     inner = _inner_rel_tol(quad)
 
     if kind is KernelKind.ERFC_COS:
-        n = nu.real
 
-        def f(u):
-            return erfcx(rootx * np.cosh(u)) * np.cos(2.0 * n * u)
+        def profile(u):
+            return erfcx(rootx * np.cosh(u))
+
+        def wave(nu, u):
+            return np.cos(2.0 * nu.real * u)
 
     elif kind is KernelKind.CYLINDER_COS:
         alpha = 1.0 - 2.0 * mu
-        if nu.imag == 0.0:
-            nre = nu.real
 
-            def f(u):
-                return parabolic_cylinder_d_scaled(
-                    alpha, root2x * np.cosh(u), rel_tol=inner) * np.cos(2.0 * nre * u)
+        def profile(u):
+            return parabolic_cylinder_d_scaled(alpha, root2x * np.cosh(u), rel_tol=inner)
 
-        else:
-
-            def f(u):
-                return parabolic_cylinder_d_scaled(
-                    alpha, root2x * np.cosh(u), rel_tol=inner) * np.cos(2.0 * nu * u)
+        def wave(nu, u):
+            return np.cos(2.0 * (nu.real if nu.imag == 0.0 else nu) * u)
 
     else:
         alpha = 2.0 - 2.0 * mu
-        n = nu.real
 
-        def f(u):
+        def profile(u):
             return parabolic_cylinder_d_scaled(
-                alpha, root2x * np.cosh(u), rel_tol=inner) * np.sinh(u) * np.sin(n * u)
+                alpha, root2x * np.cosh(u), rel_tol=inner) * np.sinh(u)
 
-    r = integrate_finite(f, 0.0, math.pi, quad)
-    value = r.value if kind is not KernelKind.CYLINDER_SIN else 2.0 * r.value
-    err = r.error_estimate if kind is not KernelKind.CYLINDER_SIN else 2.0 * r.error_estimate
-    return value, err, r.converged
+        def wave(nu, u):
+            return np.sin(nu.real * u)
+
+    def rows_at(u, rows):
+        return profile(u) * np.array([wave(ns[i], u) for i in rows])
+
+    results = integrate_finite_rows(rows_at, 0.0, math.pi, [s.abs_tol for s in specs], quad)
+    if kind is KernelKind.CYLINDER_SIN:
+        # even integrand: the [-pi, pi] kernel is twice the [0, pi] integral
+        return [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
+    return [(r.value, r.error_estimate, r.converged) for r in results]
 
 
 def _kernel_eval_mp(kind: KernelKind, mu: float, nu: complex, x: float, dps: int):
@@ -367,17 +387,7 @@ def build_kernel_table(queries: Sequence[KernelQuery]) -> KernelTable:
         values.append(tuple(row_v))
         tols.append(tuple(row_t))
 
-    meta = {
-        "tool_version": _tool_version,
-        "quad": {
-            "abs_tol": quad.abs_tol,
-            "rel_tol": quad.rel_tol,
-            "max_refinements": quad.max_refinements,
-            "max_evals": quad.max_evals,
-            "precision": quad.precision,
-            "dps": quad.dps,
-        },
-    }
+    meta = {"tool_version": _tool_version, "quad": quad.as_dict()}
     return KernelTable(
         kind=kind,
         mu=mu,

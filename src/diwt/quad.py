@@ -14,6 +14,12 @@ Three entry points cover every integral that appears downstream:
   line Re(s) = gamma, for Mellin-type integrands that are analytic in a strip
   and decay at both ends.  The trapezoid rule converges geometrically there.
 
+The finite and semi-infinite rules also come row-wise
+(``integrate_finite_rows``, ``integrate_semi_infinite_rows``): a family of
+integrands shares every node evaluation, and each row stops at its own level
+with the result it would have alone.  ``integrate_finite`` is the one-row
+case, so there is a single tanh-sinh refinement loop.
+
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
 estimate together with a convergence flag.  An optional extended-precision
@@ -23,7 +29,7 @@ mode (>= 30 significant digits, backed by mpmath) is selected through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 import math
 
@@ -36,8 +42,11 @@ __all__ = [
     "IntegralResult",
     "MellinBarnesSpec",
     "DEFAULT_SPEC",
+    "as_rows",
     "integrate_finite",
+    "integrate_finite_rows",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_rows",
     "integrate_vertical_line",
 ]
 
@@ -74,6 +83,10 @@ class QuadSpec:
             raise ValueError("precision must be 'double' or 'extended'")
         if self.precision == "extended" and int(self.dps) < 15:
             raise ValueError("extended mode needs dps >= 15")
+
+    def as_dict(self) -> dict:
+        """The fields in declaration order, as manifests and kernel tables record them."""
+        return asdict(self)
 
 
 DEFAULT_SPEC = QuadSpec()
@@ -185,22 +198,54 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> In
     node arrays; scalar-only callables are detected and looped over.  The
     endpoints themselves are never evaluated unless a node collapses onto
     one through rounding, in which case it is dropped (its weight is below
-    1e-270 of the interval scale).
+    1e-270 of the interval scale).  This is the one-row case of
+    ``integrate_finite_rows``.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InvalidInterval(f"expected finite a < b, got ({a}, {b})")
     if spec.precision == "extended":
         return _integrate_finite_mp(f, a, b, spec)
+    return integrate_finite_rows(as_rows(f), a, b, [spec.abs_tol], spec)[0]
 
+
+def as_rows(f):
+    """Wrap a one-integrand callable as the one-row F of integrate_finite_rows."""
+    fv = _VecCall(f)
+    return lambda xs, rows: fv(xs)[None, :]
+
+
+def integrate_finite_rows(F, a: float, b: float, abs_tols,
+                          spec: QuadSpec = DEFAULT_SPEC) -> list[IntegralResult]:
+    """Integrate a family of integrands over (a, b) on shared tanh-sinh nodes.
+
+    ``F(xs, rows)`` returns an array of shape (len(rows), len(xs)): the
+    integrands numbered ``rows`` (a list of positions in ``abs_tols``) at
+    the nodes ``xs``.  Row i stops at the first level where it passes the
+    ``integrate_finite`` test with abs_tol ``abs_tols[i]``; F is asked only
+    for the rows still open.  The nodes of each level are a superset of the
+    previous ones, so a row's value, error estimate, evaluation count and
+    convergence flag are exactly those of integrating it alone.  (Rows are
+    summed in the dtype of F's array, so a real row in a complex family can
+    differ from its own integral in the last bit.)  rel_tol,
+    max_refinements and max_evals come from ``spec`` and are shared;
+    double precision only.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
+        raise InvalidInterval(f"expected finite a < b, got ({a}, {b})")
+    tols = [float(t) for t in abs_tols]
+    results: list[IntegralResult | None] = [None] * len(tols)
+    # per-row running sums stay numpy scalars, so each row does exactly
+    # the scalar arithmetic of a one-row run
+    total: list = [None] * len(tols)
+    err = [math.inf] * len(tols)
     c = 0.5 * (b - a)
     mid = a + c
-    fv = _VecCall(f)
-
-    total = None
-    err = math.inf
-    converged = False
+    rows = list(range(len(tols)))
+    count = 0
     levels_done = 0
     for m in range(0, spec.max_refinements + 1):
+        if not rows:
+            break
         delta, weight = _ts_nodes(m)
         xl = a + c * delta
         xr = b - c * delta
@@ -210,31 +255,54 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> In
         kr = xr < b
         h = 0.5 ** m
         n_new = int(np.count_nonzero(kl)) + int(np.count_nonzero(kr)) + (1 if m == 0 else 0)
-        if fv.count + n_new > spec.max_evals:
+        if count + n_new > spec.max_evals:
             break
         xs = np.concatenate([xl[kl], xr[kr]])
         ws = np.concatenate([weight[kl], weight[kr]])
-        vals = fv(xs)
-        partial = np.sum(ws * vals)
+        partial = (ws * F(xs, rows)).sum(axis=1)
+        count += xs.size
         if m == 0:
-            partial = partial + _TS_W0 * fv(np.array([mid]))[0]
-            total = c * h * partial
+            at_mid = F(np.array([mid]), rows)[:, 0]
+            count += 1
+            for k, i in enumerate(rows):
+                total[i] = c * h * (partial[k] + _TS_W0 * at_mid[k])
         else:
-            prev_total = total
-            total = 0.5 * total + c * h * partial
-            err = abs(total - prev_total)
+            for k, i in enumerate(rows):
+                prev_total = total[i]
+                total[i] = 0.5 * prev_total + c * h * partial[k]
+                err[i] = abs(total[i] - prev_total)
         levels_done = m
-        if m >= 2 and err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            converged = True
-            break
+        if m >= 2:
+            still_open = []
+            for i in rows:
+                if err[i] <= max(tols[i], spec.rel_tol * abs(total[i])):
+                    results[i] = _row_result(total[i], err[i], count, True, m)
+                else:
+                    still_open.append(i)
+            rows = still_open
 
+    for i in rows:
+        results[i] = _row_result(total[i], err[i], count, False, levels_done)
+    return results
+
+
+def _row_result(total, err, count: int, converged: bool, levels: int) -> IntegralResult:
     return IntegralResult(
         value=_as_python_number(total),
         error_estimate=float(err) if math.isfinite(err) else float("inf"),
-        evaluations=fv.count,
+        evaluations=count,
         converged=converged,
-        meta={"levels": levels_done, "rule": "tanh-sinh"},
+        meta={"levels": levels, "rule": "tanh-sinh"},
     )
+
+
+def _truncation(decay_scale: float, abs_tol: float) -> tuple[float, float]:
+    """(cutoff, tail bound) where the unit-constant decay bound drops below abs_tol/10."""
+    if not (decay_scale > 0 and math.isfinite(decay_scale)):
+        raise InvalidDecayScale(f"decay_scale must be positive and finite, got {decay_scale}")
+    d = float(decay_scale)
+    cutoff = d * max(math.log(10.0 * max(d, 1.0) / abs_tol), 10.0)
+    return cutoff, d * math.exp(-cutoff / d)
 
 
 def integrate_semi_infinite(f, decay_scale: float, spec: QuadSpec = DEFAULT_SPEC) -> IntegralResult:
@@ -245,16 +313,35 @@ def integrate_semi_infinite(f, decay_scale: float, spec: QuadSpec = DEFAULT_SPEC
     The truncation point and the tail bound it implies are recorded in
     ``meta`` and folded into the error estimate.
     """
-    if not (decay_scale > 0 and math.isfinite(decay_scale)):
-        raise InvalidDecayScale(f"decay_scale must be positive and finite, got {decay_scale}")
-    d = float(decay_scale)
-    cutoff = d * max(math.log(10.0 * max(d, 1.0) / spec.abs_tol), 10.0)
-    tail_bound = d * math.exp(-cutoff / d)
+    cutoff, tail_bound = _truncation(decay_scale, spec.abs_tol)
     if spec.precision == "extended":
         res = _integrate_semi_infinite_mp(f, spec)
         res.meta.update({"truncation_point": None, "tail_bound": 0.0})
         return res
     res = integrate_finite(f, 0.0, cutoff, spec)
+    return _with_tail(res, cutoff, tail_bound)
+
+
+def integrate_semi_infinite_rows(F, decay_scale: float, abs_tols,
+                                 spec: QuadSpec = DEFAULT_SPEC) -> list[IntegralResult]:
+    """Row-wise ``integrate_semi_infinite``; see ``integrate_finite_rows``.
+
+    The truncation point depends on each row's abs_tol, so rows share
+    nodes, and F calls, only within groups of equal truncation point.
+    """
+    tols = [float(t) for t in abs_tols]
+    cuts = [_truncation(decay_scale, t) for t in tols]
+    results: list[IntegralResult | None] = [None] * len(tols)
+    for cut in dict.fromkeys(cuts):
+        group = np.array([i for i, c in enumerate(cuts) if c == cut])
+        part = integrate_finite_rows(lambda xs, rows, g=group: F(xs, g[rows]), 0.0, cut[0],
+                                     [tols[i] for i in group], spec)
+        for i, res in zip(group, part):
+            results[i] = _with_tail(res, *cut)
+    return results
+
+
+def _with_tail(res: IntegralResult, cutoff: float, tail_bound: float) -> IntegralResult:
     res.meta.update({"truncation_point": cutoff, "tail_bound": tail_bound})
     res.error_estimate = float(res.error_estimate + tail_bound)
     return res

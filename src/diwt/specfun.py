@@ -430,6 +430,7 @@ class _ContourFactor:
         self.gamma = gamma
         self._cache: dict[bytes, np.ndarray] = {}
         self._tail_T: float | None = None
+        self._peak: float | None = None
 
     def factor(self, s):
         s = np.asarray(s, dtype=complex)
@@ -449,7 +450,9 @@ class _ContourFactor:
         return vals
 
     def peak(self) -> float:
-        return float(abs(self.factor(np.array([complex(self.gamma)]))[0]))
+        if self._peak is None:
+            self._peak = float(abs(self.factor(np.array([complex(self.gamma)]))[0]))
+        return self._peak
 
     def tail_cutoff(self) -> float:
         # |x^{-s}| is constant along the contour, so the truncation point

@@ -32,8 +32,9 @@ from .errors import (
     OrderError,
     PrecisionBudgetExceeded,
 )
-from .kernels import KernelKind, _kernel_eval, _kernel_eval_mp
-from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
+from .kernels import KernelKind, _inner_rel_tol, _kernel_eval, _kernel_eval_many, _kernel_eval_mp
+from .quad import DEFAULT_SPEC, QuadSpec, as_rows, integrate_finite, integrate_finite_rows, \
+    integrate_semi_infinite_rows
 from .specfun import WhittakerOrder, _w_mb_extended, gamma_abs_squared, \
     parabolic_cylinder_d_scaled, whittaker_w_mb
 
@@ -348,12 +349,14 @@ class SynthesisResult:
 
 
 def _warn_if_sampled(f: FunctionHandle):
+    # stacklevel 4: _warn_if_sampled, the shared implementation, the public
+    # entry point, then the caller
     if isinstance(f, SampledHandle):
         warnings.warn(
             "recovery guarantees cover analytic handles only: sampled data go "
             "through a monotone cubic interpolant, and the reported bound "
             "covers quadrature of the interpolant, not the data model",
-            IntegrabilityWarning, stacklevel=3)
+            IntegrabilityWarning, stacklevel=4)
 
 
 def _guard_outer(r, what: str):
@@ -365,26 +368,33 @@ def _guard_outer(r, what: str):
             f"against value {r.value:.2e}")
 
 
-def _integrate_low(g_low, f: FunctionHandle, spec: QuadSpec):
+def _integrate_low(G, f: FunctionHandle, abs_tols, spec: QuadSpec):
     """The (0, 1] piece in v = -log t, clipped to the handle support.
 
-    Returns None when the handle vanishes on the whole piece.
+    G(vs, rows) gives the rows of the integrand family (see
+    ``integrate_finite_rows``).  Returns one result per row, or None when
+    the handle vanishes on the whole piece.
     """
     start = getattr(f, "support_start", 0.0)
     if start >= 1.0:
         return None
     if start > 0.0:
-        return integrate_finite(g_low, 0.0, math.log(1.0 / start), spec)
-    return integrate_semi_infinite(g_low, 2.0, spec)
+        return integrate_finite_rows(G, 0.0, math.log(1.0 / start), abs_tols, spec)
+    return integrate_semi_infinite_rows(G, 2.0, abs_tols, spec)
 
 
-def _integrate_high(g_high, f: FunctionHandle, spec: QuadSpec):
+def _integrate_high(G, f: FunctionHandle, abs_tols, spec: QuadSpec):
     """The [1, inf) piece in s = t - 1, clipped to the handle support."""
     if f.support_end is not None:
         if f.support_end <= 1.0:
             return None
-        return integrate_finite(g_high, 0.0, f.support_end - 1.0, spec)
-    return integrate_semi_infinite(g_high, f.decay_scale, spec)
+        return integrate_finite_rows(G, 0.0, f.support_end - 1.0, abs_tols, spec)
+    return integrate_semi_infinite_rows(G, f.decay_scale, abs_tols, spec)
+
+
+def _scalar_rows(g):
+    """Rows G(xs, rows) from g(x, rows), the open rows at one scalar node."""
+    return lambda xs, rows: np.stack([g(x, rows) for x in xs.tolist()], axis=1)
 
 
 def _coarse_mass(f: FunctionHandle) -> float:
@@ -399,46 +409,60 @@ def _coarse_mass(f: FunctionHandle) -> float:
         t = 1.0 + s
         return abs(f(t)) * t ** -1.5
 
-    r1 = _integrate_low(low, f, mspec)
-    r2 = _integrate_high(high, f, mspec)
-    m1 = 0.0 if r1 is None else abs(r1.value)
-    m2 = 0.0 if r2 is None else abs(r2.value)
+    r1 = _integrate_low(as_rows(low), f, [mspec.abs_tol], mspec)
+    r2 = _integrate_high(as_rows(high), f, [mspec.abs_tol], mspec)
+    m1 = 0.0 if r1 is None else abs(r1[0].value)
+    m2 = 0.0 if r2 is None else abs(r2[0].value)
     # 1.5 slack on a coarse estimate plus a unit floor
     return 1.5 * (m1 + m2) + 1.0
 
 
+def _checked_indices(ns) -> list[int]:
+    out = []
+    for n in ns:
+        if int(n) != n or n < 1:
+            raise DomainError(f"coefficient index must be a positive integer, got {n}")
+        out.append(int(n))
+    return out
+
+
 def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
-                        f: FunctionHandle, n: int, quad: QuadSpec) -> InversionResult:
-    if int(n) != n or n < 1:
-        raise DomainError(f"coefficient index must be a positive integer, got {n}")
-    n = int(n)
+                        f: FunctionHandle, ns, quad: QuadSpec) -> list[InversionResult]:
     cap = _index_cap(quad)
-    if n > cap:
-        raise PrecisionBudgetExceeded(
-            f"index {n} exceeds the {quad.precision}-precision cap {cap}: the "
-            f"amplification factor n sinh(2 pi n) outruns the achievable "
-            f"quadrature accuracy")
-    _warn_if_sampled(f)
-    if f.is_zero:
-        return InversionResult(0.0, 0.0, {"zero_function": True})
+    ns = _checked_indices(ns)
+    for n in ns:
+        if n > cap:
+            raise PrecisionBudgetExceeded(
+                f"index {n} exceeds the {quad.precision}-precision cap {cap}: the "
+                f"amplification factor n sinh(2 pi n) outruns the achievable "
+                f"quadrature accuracy")
+    for _ in ns:
+        _warn_if_sampled(f)
+    if f.is_zero or not ns:
+        return [InversionResult(0.0, 0.0, {"zero_function": True}) for _ in ns]
 
-    amp = n * math.sinh(2.0 * math.pi * n)
+    amps = [n * math.sinh(2.0 * math.pi * n) for n in ns]
     if quad.precision == "extended":
-        return _invert_extended(kind, mu, prefactor, f, n, quad, amp)
+        return [_invert_extended(kind, mu, prefactor, f, n, quad, amp)
+                for n, amp in zip(ns, amps)]
 
-    kern_tol = max(quad.abs_tol * math.exp(-2.0 * math.pi * n) / 10.0,
-                   _KERNEL_TOL_FLOOR)
-    kspec = QuadSpec(abs_tol=kern_tol, rel_tol=min(quad.rel_tol, 1e-12),
-                     max_refinements=max(quad.max_refinements, 12),
-                     max_evals=quad.max_evals)
-    outer_tol = max(quad.abs_tol / (abs(prefactor) * amp * 10.0), _OUTER_TOL_FLOOR)
-    ospec = QuadSpec(abs_tol=outer_tol, rel_tol=1e-10,
+    kern_tols = [max(quad.abs_tol * math.exp(-2.0 * math.pi * n) / 10.0, _KERNEL_TOL_FLOOR)
+                 for n in ns]
+    kspecs = [QuadSpec(abs_tol=kt, rel_tol=min(quad.rel_tol, 1e-12),
+                       max_refinements=max(quad.max_refinements, 12),
+                       max_evals=quad.max_evals) for kt in kern_tols]
+    outer_tols = [max(quad.abs_tol / (abs(prefactor) * amp * 10.0), _OUTER_TOL_FLOOR)
+                  for amp in amps]
+    # the row rule takes abs_tol per index from row_tols; ospec gives the rest
+    row_tols = outer_tols
+    ospec = QuadSpec(abs_tol=row_tols[0], rel_tol=1e-10,
                      max_refinements=max(quad.max_refinements, 12),
                      max_evals=quad.max_evals)
     if isinstance(f, SampledHandle):
         # knot kinks of the interpolant stall deep refinement, and its
         # model error dwarfs quadrature error regardless
-        ospec = QuadSpec(abs_tol=max(outer_tol, 1e-12), rel_tol=1e-8,
+        row_tols = [max(ot, 1e-12) for ot in outer_tols]
+        ospec = QuadSpec(abs_tol=row_tols[0], rel_tol=1e-8,
                          max_refinements=min(quad.max_refinements, 9),
                          max_evals=quad.max_evals)
     # f itself is evaluated at a fixed tight tolerance: a loose
@@ -446,47 +470,54 @@ def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
     # amplification factor multiplies
     fspec = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_refinements=12)
 
-    kerr_seen = [0.0]
+    kerr_seen = [0.0] * len(ns)
 
-    def kernel(t: float) -> float:
-        v, e, _ = _kernel_eval(kind, mu, complex(n), t, kspec)
-        if e > kerr_seen[0]:
-            kerr_seen[0] = e
-        return float(np.real(v))
+    # one f value and one kernel column (every open n) per node; a row's
+    # kernel errors count only at the nodes its own integral visits
+    def integrand(t: float, rows, weight: float):
+        col = _kernel_eval_many(kind, mu, [ns[i] for i in rows], t, [kspecs[i] for i in rows])
+        for i, (_, e, _) in zip(rows, col):
+            if e > kerr_seen[i]:
+                kerr_seen[i] = e
+        kernel = np.array([float(np.real(v)) for v, _, _ in col])
+        return kernel * f(t, fspec) * weight
 
     # (0, 1] under v = -log t: the small-x oscillation of f is logarithmic,
     # so the substitution makes it linear and the endpoint integrable
-    def g_low(v: float):
+    def g_low(v: float, rows):
         t = math.exp(-v)
-        return kernel(t) * f(t, fspec) * t ** -0.5
+        return integrand(t, rows, t ** -0.5)
 
-    def g_high(s: float):
+    def g_high(s: float, rows):
         t = 1.0 + s
-        return kernel(t) * f(t, fspec) * t ** -1.5
+        return integrand(t, rows, t ** -1.5)
 
     # piece boundaries follow the handle support so that the zero
     # extension's jumps sit at interval endpoints, which the quadrature
     # rule approaches but never evaluates
-    r1 = _integrate_low(g_low, f, ospec)
-    low_value, low_err = (0.0, 0.0) if r1 is None else (r1.value, r1.error_estimate)
+    r1 = _integrate_low(_scalar_rows(g_low), f, row_tols, ospec)
     if r1 is not None:
-        _guard_outer(r1, "inversion integral on (0, 1]")
-    r2 = _integrate_high(g_high, f, ospec)
-    if r2 is None:
-        high_value, high_err = 0.0, 0.0
-    else:
-        _guard_outer(r2, "inversion integral on [1, inf)")
-        high_value, high_err = r2.value, r2.error_estimate
+        for r in r1:
+            _guard_outer(r, "inversion integral on (0, 1]")
+    r2 = _integrate_high(_scalar_rows(g_high), f, row_tols, ospec)
+    if r2 is not None:
+        for r in r2:
+            _guard_outer(r, "inversion integral on [1, inf)")
 
     mass = _coarse_mass(f)
-    value = _py_number(prefactor * amp * (low_value + high_value))
-    # the 1e-14 term covers the relative error of the f evaluations
-    bound = abs(prefactor) * amp * (
-        low_err + high_err
-        + (max(kerr_seen[0], kern_tol) + 1e-14) * mass)
-    return InversionResult(value, float(bound),
-                           {"amplification": amp, "kernel_tolerance": kern_tol,
-                            "outer_tolerance": outer_tol, "mass_estimate": mass})
+    out = []
+    for i, amp in enumerate(amps):
+        low_value, low_err = (0.0, 0.0) if r1 is None else (r1[i].value, r1[i].error_estimate)
+        high_value, high_err = (0.0, 0.0) if r2 is None else (r2[i].value, r2[i].error_estimate)
+        value = _py_number(prefactor * amp * (low_value + high_value))
+        # the 1e-14 term covers the relative error of the f evaluations
+        bound = abs(prefactor) * amp * (
+            low_err + high_err
+            + (max(kerr_seen[i], kern_tols[i]) + 1e-14) * mass)
+        out.append(InversionResult(value, float(bound),
+                                   {"amplification": amp, "kernel_tolerance": kern_tols[i],
+                                    "outer_tolerance": outer_tols[i], "mass_estimate": mass}))
+    return out
 
 
 def _invert_extended(kind: KernelKind, mu: float, prefactor, f, n: int,
@@ -526,6 +557,13 @@ def _invert_extended(kind: KernelKind, mu: float, prefactor, f, n: int,
                             "mass_estimate": mass})
 
 
+def _cylinder_prefactor(params: TransformParams) -> tuple[float, float]:
+    mu = float(params.mu)
+    if not mu < 0.5:
+        raise OrderError(f"inversion requires mu < 1/2, got {mu}")
+    return mu, 2.0 ** (0.5 + mu) / math.pi ** 2 * math.gamma(1.0 - 2.0 * mu)
+
+
 def invert_series(f: FunctionHandle, params: TransformParams, n: int,
                   quad: QuadSpec = DEFAULT_SPEC) -> InversionResult:
     """Recover coefficient n from f through the cosine-kernel integral.
@@ -537,11 +575,22 @@ def invert_series(f: FunctionHandle, params: TransformParams, n: int,
     at a tolerance derated by e^{-2 pi n}/10 relative to the requested
     coefficient accuracy (quad.abs_tol), floored near machine precision.
     """
-    mu = float(params.mu)
-    if not mu < 0.5:
-        raise OrderError(f"inversion requires mu < 1/2, got {mu}")
-    pref = 2.0 ** (0.5 + mu) / math.pi ** 2 * math.gamma(1.0 - 2.0 * mu)
-    return _invert_with_kernel(KernelKind.CYLINDER_COS, mu, pref, f, n, quad)
+    mu, pref = _cylinder_prefactor(params)
+    return _invert_with_kernel(KernelKind.CYLINDER_COS, mu, pref, f, [n], quad)[0]
+
+
+def invert_many(f: FunctionHandle, params: TransformParams, ns,
+                quad: QuadSpec = DEFAULT_SPEC) -> list[InversionResult]:
+    """``invert_series`` for every index in ns, on shared nodes.
+
+    f, the kernel's cylinder profile and the mass estimate do not depend
+    on n, so each outer node evaluates f once and the kernel column for
+    all open indices once.  Every index keeps its own tolerances, checks,
+    stopping level and bound, and its result equals ``invert_series`` bit
+    for bit.  Extended precision runs the indices one after another.
+    """
+    mu, pref = _cylinder_prefactor(params)
+    return _invert_with_kernel(KernelKind.CYLINDER_COS, mu, pref, f, ns, quad)
 
 
 def invert_series_kl(f: FunctionHandle, n: int,
@@ -552,7 +601,7 @@ def invert_series_kl(f: FunctionHandle, n: int,
     sqrt(pi/2) folded between kernel and prefactor; the two entry points
     exist so that consistency of the conventions is checkable.
     """
-    return _invert_with_kernel(KernelKind.ERFC_COS, 0.0, math.pi ** -1.5, f, n, quad)
+    return _invert_with_kernel(KernelKind.ERFC_COS, 0.0, math.pi ** -1.5, f, [n], quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -568,58 +617,76 @@ def coefficient_transform(f: FunctionHandle, mu: float, n: int,
     x^{1-mu} and pass, while generic handles are probed numerically and an
     IntegrabilityWarning is issued when the integrand mass fails to fade.
     """
+    return _coefficients(f, mu, [n], quad)[0]
+
+
+def coefficient_transform_many(f: FunctionHandle, mu: float, ns,
+                               quad: QuadSpec = DEFAULT_SPEC) -> list:
+    """``coefficient_transform`` for every index in ns, on shared nodes.
+
+    f is evaluated once per node for all indices; only the Whittaker
+    weight is formed per index.  Each value equals ``coefficient_transform``
+    bit for bit, with the same per-index checks and warnings.
+    """
+    return _coefficients(f, mu, ns, quad)
+
+
+def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
     mu = float(mu)
     if not (math.isfinite(mu) and mu < 0.5):
         raise OrderError(f"coefficient_transform requires mu < 1/2, got {mu}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"coefficient index must be a positive integer, got {n}")
-    n = int(n)
-    _warn_if_sampled(f)
-    if f.is_zero:
-        return 0.0
-    order = WhittakerOrder(mu, 0.5 * n)
+    ns = _checked_indices(ns)
+    for _ in ns:
+        _warn_if_sampled(f)
+    if f.is_zero or not ns:
+        return [0.0 for _ in ns]
+    orders = [WhittakerOrder(mu, 0.5 * n) for n in ns]
     pspec = quad if quad.precision == "double" else DEFAULT_SPEC
 
-    def weighted(t: float):
-        return whittaker_w_mb(order, t, quad=pspec, scaled=True) \
-            * f(t, pspec) * t ** (mu - 2.0)
+    def weighted(t: float, rows):
+        w = np.array([whittaker_w_mb(orders[i], t, quad=pspec, scaled=True) for i in rows])
+        return w * f(t, pspec) * t ** (mu - 2.0)
 
     # decay probe at 0: t * integrand should fade as t -> 0; max over a few
     # points per decade so an oscillation zero cannot mask growth
     lo = max(f.support_start, 1e-7) if isinstance(f, SampledHandle) else 1e-7
-    near = max(abs(weighted(lo * c)) * lo * c for c in (1.0, 2.2, 4.7))
-    far = max(abs(weighted(1e-3 * c)) * 1e-3 * c for c in (1.0, 2.2, 4.7))
-    if near > 0.5 * far and near > 10.0 * quad.abs_tol:
-        warnings.warn(
-            f"integrand mass near 0 is not fading (|t g(t)| {far:.2e} -> "
-            f"{near:.2e}); the x^(mu-2) weight may not be integrable against "
-            f"this handle", IntegrabilityWarning, stacklevel=2)
+    every = range(len(ns))
+    near = [abs(weighted(lo * c, every)) * lo * c for c in (1.0, 2.2, 4.7)]
+    far = [abs(weighted(1e-3 * c, every)) * 1e-3 * c for c in (1.0, 2.2, 4.7)]
+    for i in every:
+        near_i = max(p[i] for p in near)
+        far_i = max(p[i] for p in far)
+        if near_i > 0.5 * far_i and near_i > 10.0 * quad.abs_tol:
+            warnings.warn(
+                f"integrand mass near 0 is not fading (|t g(t)| {far_i:.2e} -> "
+                f"{near_i:.2e}); the x^(mu-2) weight may not be integrable against "
+                f"this handle", IntegrabilityWarning, stacklevel=3)
 
     if quad.precision == "extended":
-        return _coefficient_transform_extended(f, mu, n, quad)
+        return [_coefficient_transform_extended(f, mu, n, quad) for n in ns]
 
-    def g_low(v: float):
+    def g_low(v: float, rows):
         t = math.exp(-v)
-        return weighted(t) * t
+        return weighted(t, rows) * t
 
-    def g_high(s: float):
-        return weighted(1.0 + s)
+    def g_high(s: float, rows):
+        return weighted(1.0 + s, rows)
 
     if isinstance(f, SampledHandle):
         quad = QuadSpec(abs_tol=max(quad.abs_tol, 1e-12), rel_tol=1e-8,
                         max_refinements=min(quad.max_refinements, 9),
                         max_evals=quad.max_evals)
-    r1 = _integrate_low(g_low, f, quad)
-    low = 0.0
+    tols = [quad.abs_tol] * len(ns)
+    r1 = _integrate_low(_scalar_rows(g_low), f, tols, quad)
     if r1 is not None:
-        _guard_outer(r1, "coefficient integral on (0, 1]")
-        low = r1.value
-    r2 = _integrate_high(g_high, f, quad)
-    high = 0.0
+        for r in r1:
+            _guard_outer(r, "coefficient integral on (0, 1]")
+    r2 = _integrate_high(_scalar_rows(g_high), f, tols, quad)
     if r2 is not None:
-        _guard_outer(r2, "coefficient integral on [1, inf)")
-        high = r2.value
-    return _py_number(low + high)
+        for r in r2:
+            _guard_outer(r, "coefficient integral on [1, inf)")
+    return [_py_number((0.0 if r1 is None else r1[i].value)
+                       + (0.0 if r2 is None else r2[i].value)) for i in every]
 
 
 def _coefficient_transform_extended(f, mu: float, n: int, quad: QuadSpec):
@@ -673,7 +740,7 @@ def function_from_profile(profile: FourierPolynomial, mu: float, x: float,
 
     alpha = 2.0 - 2.0 * mu
     root2x = math.sqrt(2.0 * x)
-    inner = max(min(quad.rel_tol * 1e-2, 1e-14), 1e-15)
+    inner = _inner_rel_tol(quad)
 
     def h(u):
         u = np.asarray(u, dtype=float)
@@ -754,7 +821,10 @@ def synthesize_series(seq: CoefficientSeq, mu: float, x: float,
         kspec = QuadSpec(abs_tol=min(ktol, 1e-6), rel_tol=min(quad.rel_tol, 1e-12),
                          max_refinements=max(quad.max_refinements, 12),
                          max_evals=quad.max_evals)
-        kv, _, _ = _kernel_eval(KernelKind.CYLINDER_SIN, mu, complex(n), x, kspec)
+        kv, kerr, ok = _kernel_eval(KernelKind.CYLINDER_SIN, mu, complex(n), x, kspec)
+        if not ok:
+            raise NonConvergence(
+                f"sine kernel at (mu={mu}, n={n}, x={x}) stalled at error {kerr:.2e}")
         terms.append(pref * math.sinh(math.pi * n) * float(np.real(kv)) * a)
     if any(isinstance(t, complex) for t in terms):
         value = complex(sum(terms))

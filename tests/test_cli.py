@@ -162,6 +162,19 @@ class TestTabularCommands:
         value, bound = float(rows[0][1]), float(rows[0][2])
         assert abs(value - 1.0) <= max(1e-3, bound)
 
+    def test_invert_range_bytes_match_per_index_loop(self, tmp_path):
+        # the range runs on shared nodes; the file must not move a bit
+        from diwt.transforms import CoefficientSeq, ForwardHandle, TransformParams, invert_series
+        cfg = {"mu": 0.25, "coefficients": [1.0], "n_range": [1, 3]}
+        out = tmp_path / "inv.csv"
+        assert run_cli(tmp_path, "invert", cfg, "--quiet", out=out) == 0
+        f = ForwardHandle(CoefficientSeq((1.0,)), 0.25)
+        want = "n,value,error_bound\n"
+        for n in (1, 2, 3):
+            r = invert_series(f, TransformParams(0.25), n)
+            want += f"{n},{r.value:.17g},{r.error_bound:.17g}\n"
+        assert out.read_bytes() == want.encode("utf-8")
+
     def test_coeff_from_profile_closed_form(self, tmp_path, capsys):
         cfg = {"mu": 0.25, "psi": {"sine": [1.0]}, "n_range": [1, 2]}
         assert run_cli(tmp_path, "coeff", cfg) == 0
@@ -272,7 +285,7 @@ def make_table(values, failures=()):
         values=(values,),
         achieved_tolerances=((1e-15, float("inf") if failures else 2e-15),),
         failures=failures,
-        meta={"tool_version": cli.__version__, "quad": cli._quad_dict(DEFAULT_SPEC)},
+        meta={"tool_version": cli.__version__, "quad": DEFAULT_SPEC.as_dict()},
     )
 
 

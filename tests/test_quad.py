@@ -1,6 +1,7 @@
 """Quadrature engine tests: closed-form oracles, invariants, failure modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from diwt.quad import (
     MellinBarnesSpec,
     QuadSpec,
     integrate_finite,
+    integrate_finite_rows,
     integrate_semi_infinite,
+    integrate_semi_infinite_rows,
     integrate_vertical_line,
 )
 
@@ -124,6 +127,68 @@ def test_max_evals_budget():
     r = integrate_finite(lambda x: np.cos(50 * x) * x ** -0.5, 0.0, 1.0, spec)
     assert r.evaluations <= 100
     assert not r.converged
+
+
+# rows that freeze at levels 2, 3 and 4 at these tolerances, plus an
+# oscillation that runs into the evaluation budget after level 5
+ROW_FUNCS = (
+    lambda x: 2 * x,
+    lambda x: x ** -0.5,
+    lambda x: np.exp(x),
+    lambda x: np.cos(50 * x) * x ** -0.5,
+)
+ROW_TOLS = (1e-4, 1e-8, 1e-12, 1e-15)
+ROW_SPEC = QuadSpec(rel_tol=1e-15, max_evals=400)
+
+
+def _family(funcs, asked):
+    def F(xs, rows):
+        asked.append(list(rows))
+        return np.array([funcs[i](xs) for i in rows])
+    return F
+
+
+def _same_result(a, b):
+    assert a.value == b.value
+    assert a.error_estimate == b.error_estimate
+    assert a.evaluations == b.evaluations
+    assert a.converged == b.converged
+    assert a.meta == b.meta
+
+
+def test_rows_equal_single_row_integrals():
+    asked = []
+    rows = integrate_finite_rows(_family(ROW_FUNCS, asked), 0.0, 1.0, ROW_TOLS, ROW_SPEC)
+    for f, tol, r in zip(ROW_FUNCS, ROW_TOLS, rows):
+        _same_result(r, integrate_finite(f, 0.0, 1.0, replace(ROW_SPEC, abs_tol=tol)))
+    assert [r.meta["levels"] for r in rows] == [2, 3, 4, 5]
+    assert [r.converged for r in rows] == [True, True, True, False]
+    # stopped below max_refinements: the evaluation budget ended it
+    assert rows[3].meta["levels"] < ROW_SPEC.max_refinements
+    # F is asked for a row at every level up to its own (twice at level 0:
+    # nodes, then midpoint), and never after
+    for i, r in enumerate(rows):
+        assert sum(i in a for a in asked) == r.meta["levels"] + 2
+
+
+def test_rows_complex_and_budget_shared():
+    # rows are summed in F's dtype, so a complex family holds complex rows
+    funcs = (lambda x: np.exp(1j * x), lambda x: np.exp(37.7j * x) / np.sqrt(x))
+    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-15, max_refinements=4)
+    rows = integrate_finite_rows(_family(funcs, []), 0.0, 2.0, [1e-12, 1e-12], spec)
+    for f, r in zip(funcs, rows):
+        _same_result(r, integrate_finite(f, 0.0, 2.0, spec))
+    assert isinstance(rows[0].value, complex)
+    assert not rows[1].converged
+
+
+def test_semi_infinite_rows_group_by_truncation():
+    funcs = (lambda t: np.exp(-t), lambda t: t * np.exp(-t), lambda t: np.exp(-2 * t))
+    tols = (1e-6, 1e-12, 1e-6)
+    rows = integrate_semi_infinite_rows(_family(funcs, []), 1.0, tols, DEFAULT_SPEC)
+    for f, tol, r in zip(funcs, tols, rows):
+        _same_result(r, integrate_semi_infinite(f, 1.0, replace(DEFAULT_SPEC, abs_tol=tol)))
+    assert rows[0].meta["truncation_point"] != rows[1].meta["truncation_point"]
 
 
 def test_invalid_interval():

@@ -24,9 +24,9 @@ from diwt.transforms import (CoefficientSeq, ForwardHandle, FourierPolynomial,
                              SampledHandle, TransformParams,
                              _function_from_profile_full_range,
                              admissibility_sum, closed_form_coefficients,
-                             coefficient_transform, forward_series,
-                             function_from_profile, invert_series,
-                             invert_series_kl, synthesize_series)
+                             coefficient_transform, coefficient_transform_many,
+                             forward_series, function_from_profile, invert_many,
+                             invert_series, invert_series_kl, synthesize_series)
 
 EXT25 = QuadSpec(precision="extended", dps=25)
 
@@ -296,6 +296,69 @@ class TestInversion:
         assert abs(r.value - 1.0) < 5e-2
 
 
+class _Cheap(FunctionHandle):
+    """Closed-form handle, so the shared-node tests time the kernels only."""
+
+    decay_scale = 1.0
+
+    def __init__(self, power: float = 0.3):
+        self.power = power
+
+    def __call__(self, x, quad=DEFAULT_SPEC):
+        a = np.asarray(x, dtype=float)
+        y = np.exp(-a) * a ** self.power * np.sin(np.log(a) + 0.4)
+        return y[()] if y.shape == () else y
+
+
+class TestSharedNodes:
+    # abs_tol 1000 spreads the per-n kernel tolerances over 0.19 .. 6.5e-7
+    # and the outer ones over 2.6 .. 3.0e-6: n = 1 and 2 still share a
+    # truncation point (and so every node), n = 3 gets its own
+    SPEC = QuadSpec(abs_tol=1000.0, rel_tol=1e-8)
+
+    def test_invert_many_equals_per_index_calls(self):
+        f, params = _Cheap(), TransformParams(0.0)
+        many = invert_many(f, params, [1, 2, 3], self.SPEC)
+        tols = [r.meta["kernel_tolerance"] for r in many]
+        assert len(set(tols)) == 3
+        assert len({r.meta["outer_tolerance"] for r in many}) == 3
+        for n, r in zip([1, 2, 3], many):
+            one = invert_series(f, params, n, self.SPEC)
+            assert r.value == one.value
+            assert r.error_bound == one.error_bound
+            assert r.meta == one.meta
+
+    def test_coefficient_transform_many_equals_per_index_calls(self):
+        f = _Cheap(1.5)
+        spec = QuadSpec(abs_tol=1e-8, rel_tol=1e-6)
+        many = coefficient_transform_many(f, 0.25, [1, 2, 3, 4], spec)
+        assert many == [coefficient_transform(f, 0.25, n, spec) for n in (1, 2, 3, 4)]
+
+    def test_checks_stay_per_index(self):
+        f = ForwardHandle(CoefficientSeq((1.0,)), 0.0)
+        with pytest.raises(PrecisionBudgetExceeded):
+            invert_many(f, TransformParams(0.0), [1, 9])
+        with pytest.raises(DomainError):
+            invert_many(f, TransformParams(0.0), [2, 0])
+        with pytest.raises(DomainError):
+            coefficient_transform_many(f, 0.0, [1, 1.5])
+        zero = ForwardHandle(CoefficientSeq((0.0,)), 0.0)
+        assert [r.value for r in invert_many(zero, TransformParams(0.0), [1, 2])] == [0.0, 0.0]
+        assert coefficient_transform_many(zero, 0.0, [1, 2, 3]) == [0.0, 0.0, 0.0]
+        assert invert_many(f, TransformParams(0.0), []) == []
+        assert coefficient_transform_many(f, 0.0, []) == []
+
+    def test_decay_probe_warns_once_per_index(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coefficient_transform_many(_Cheap(), 0.0, [1, 2, 3],
+                                       QuadSpec(abs_tol=1e-2, rel_tol=1e-8))
+        probe = [w for w in caught if issubclass(w.category, IntegrabilityWarning)]
+        assert len(probe) == 3
+        # the warning points at the caller, not into the package
+        assert all(w.filename == __file__ for w in probe)
+
+
 # ---------------------------------------------------------------------------
 # coefficient transform vs closed form
 # ---------------------------------------------------------------------------
@@ -432,6 +495,12 @@ class TestProfileAndSynthesis:
             synthesize_series(CoefficientSeq((1.0,)), 0.0, -1.0)
         with pytest.raises(PrecisionBudgetExceeded):
             synthesize_series(CoefficientSeq((1.0,) * 250), 0.0, 1.0)
+
+    def test_synthesis_unconverged_kernel_raises(self):
+        # 100 evaluations stop the sine-kernel quadrature a few levels in,
+        # at an error near 3e-6, far short of its 1e-12 relative target
+        with pytest.raises(NonConvergence, match=r"sine kernel .* stalled at error"):
+            synthesize_series(CoefficientSeq((1.0,)), 0.1, 2.0, QuadSpec(max_evals=100))
 
 
 # ---------------------------------------------------------------------------
