@@ -472,7 +472,8 @@ def _eval_value(fn: str, params: dict, point: float, quad: QuadSpec):
         return v, quad_est(v)
     if fn == "D":
         v = parabolic_cylinder_d(float(params["nu"]), point, quad)
-        # series/quadrature hybrid, empirically ~1e-14 relative
+        # series/quadrature hybrid; test_cylinder_scaled_accuracy_grid
+        # (tests/test_specfun.py) measures it against mpmath below 1e-13
         return v, max(abs(v) * 1e-13, 5e-324)
     if fn == "erfc":
         v = erfc(point)
@@ -606,7 +607,9 @@ def _roundtrip_theorem2(cfg: dict, quad: QuadSpec) -> dict:
         err = abs(got - want)
         if want != 0.0:
             rel = err / abs(want)
-            ok = rel <= tol
+            # the coefficients are doubles, so agreement below double
+            # roundoff is not certified even where the two sides coincide
+            ok = max(rel, sys.float_info.epsilon) <= tol
         else:
             rel = 0.0 if err == 0.0 else math.inf
             ok = err <= tol

@@ -19,8 +19,8 @@ from .errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from .kernels import cylinder_cos_kernel, cylinder_sin_kernel, erfc_cos_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
 from .specfun import (ComplexIndex, WhittakerOrder, _w_contour_general,
-                      bessel_k_imag, erfcx, gamma_abs_squared,
-                      incomplete_bessel_j, whittaker_w_mb)
+                      bessel_k_imag, erfcx, incomplete_bessel_j,
+                      log_gamma, whittaker_w_mb)
 from .transforms import CoefficientSeq, ForwardHandle
 
 
@@ -320,10 +320,13 @@ def check_whittaker_index_bound(mu: float, tau: float, x: float, delta: float,
     cd = math.cos(delta)
     sd = math.sin(delta)
     lhs = abs(whittaker_w_mb(WhittakerOrder(mu, tau), x, quad=quad))
-    ratio = math.gamma(0.5 - mu) ** 2 / gamma_abs_squared(complex(0.5 - mu, tau))
-    rhs = (ratio / cd
-           * whittaker_w_mb(WhittakerOrder(mu, 0.0), x * cd * cd, quad=quad)
-           * math.exp(-0.5 * x * sd * sd - 2.0 * delta * tau))
+    # gamma ratio and damping from one log_gamma: exactly 1 at tau = delta = 0,
+    # and an overflow reaches _report as a nonfinite side
+    log_amp = (2.0 * float(np.real(log_gamma(0.5 - mu) - log_gamma(complex(0.5 - mu, tau))))
+               - 0.5 * x * sd * sd - 2.0 * delta * tau)
+    with np.errstate(over="ignore"):
+        amp = float(np.exp(log_amp))
+    rhs = amp / cd * whittaker_w_mb(WhittakerOrder(mu, 0.0), x * cd * cd, quad=quad)
     params = {"mu": mu, "tau": tau, "x": x, "delta": delta}
     return _report("whittaker-index-bound", params, lhs, rhs, 1e-12,
                    one_sided=True)

@@ -204,7 +204,7 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> In
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InvalidInterval(f"expected finite a < b, got ({a}, {b})")
     if spec.precision == "extended":
-        return _integrate_finite_mp(f, a, b, spec)
+        return _integrate_mp(f, a, b, spec, "tanh-sinh", {"dps": int(spec.dps)})
     return integrate_finite_rows(as_rows(f), a, b, [spec.abs_tol], spec)[0]
 
 
@@ -315,7 +315,7 @@ def integrate_semi_infinite(f, decay_scale: float, spec: QuadSpec = DEFAULT_SPEC
     """
     cutoff, tail_bound = _truncation(decay_scale, spec.abs_tol)
     if spec.precision == "extended":
-        res = _integrate_semi_infinite_mp(f, spec)
+        res = _integrate_mp(f, 0.0, math.inf, spec, "tanh-sinh", {"dps": int(spec.dps)})
         res.meta.update({"truncation_point": None, "tail_bound": 0.0})
         return res
     res = integrate_finite(f, 0.0, cutoff, spec)
@@ -369,7 +369,11 @@ def integrate_vertical_line(g, mb: MellinBarnesSpec) -> IntegralResult:
             "increase tail_cutoff"
         )
     if spec.precision == "extended":
-        return _integrate_vertical_line_mp(g, gam, T, spec)
+        import mpmath as mp
+
+        return _integrate_mp(lambda t: g(mp.mpf(gam) + 1j * t), -T, T, spec,
+                             "trapezoid-line", {"gamma": gam, "tail_cutoff": T},
+                             over_two_pi=True)
 
     h0 = 0.5
     n0 = int(math.ceil(T / h0))
@@ -419,7 +423,10 @@ def _as_python_number(v):
 # extended-precision backends (mpmath tanh-sinh)
 # ---------------------------------------------------------------------------
 
-def _integrate_finite_mp(f, a, b, spec: QuadSpec) -> IntegralResult:
+def _integrate_mp(f, lo, hi, spec: QuadSpec, rule: str, meta: dict,
+                  over_two_pi: bool = False) -> IntegralResult:
+    """Extended-precision branch of every engine: mpmath tanh-sinh over
+    [lo, hi], divided by 2*pi for the vertical-line rule."""
     import mpmath as mp
 
     # 20 guard digits: the tanh-sinh rule sheds precision at endpoint
@@ -431,8 +438,10 @@ def _integrate_finite_mp(f, a, b, spec: QuadSpec) -> IntegralResult:
             count[0] += 1
             return f(t)
 
-        val, est = mp.quad(fw, [mp.mpf(a), mp.mpf(b)], error=True,
+        val, est = mp.quad(fw, [mp.mpf(lo), mp.mpf(hi)], error=True,
                            maxdegree=max(6, spec.max_refinements))
+        if over_two_pi:
+            val = val / (2 * mp.pi)
         tol = max(spec.abs_tol, spec.rel_tol * abs(float(mp.fabs(val))))
         with mp.workdps(int(spec.dps)):
             val = +val
@@ -441,55 +450,5 @@ def _integrate_finite_mp(f, a, b, spec: QuadSpec) -> IntegralResult:
             error_estimate=float(est),
             evaluations=count[0],
             converged=float(est) <= tol,
-            meta={"rule": "tanh-sinh", "precision": "extended", "dps": int(spec.dps)},
-        )
-
-
-def _integrate_semi_infinite_mp(f, spec: QuadSpec) -> IntegralResult:
-    import mpmath as mp
-
-    with mp.workdps(int(spec.dps) + 20):
-        count = [0]
-
-        def fw(t):
-            count[0] += 1
-            return f(t)
-
-        val, est = mp.quad(fw, [mp.mpf(0), mp.inf], error=True,
-                           maxdegree=max(6, spec.max_refinements))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(float(mp.fabs(val))))
-        with mp.workdps(int(spec.dps)):
-            val = +val
-        return IntegralResult(
-            value=val,
-            error_estimate=float(est),
-            evaluations=count[0],
-            converged=float(est) <= tol,
-            meta={"rule": "tanh-sinh", "precision": "extended", "dps": int(spec.dps)},
-        )
-
-
-def _integrate_vertical_line_mp(g, gam, T, spec: QuadSpec) -> IntegralResult:
-    import mpmath as mp
-
-    with mp.workdps(int(spec.dps) + 20):
-        count = [0]
-
-        def fw(t):
-            count[0] += 1
-            return g(mp.mpf(gam) + 1j * t)
-
-        val, est = mp.quad(fw, [-mp.mpf(T), mp.mpf(T)], error=True,
-                           maxdegree=max(6, spec.max_refinements))
-        val = val / (2 * mp.pi)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(float(mp.fabs(val))))
-        with mp.workdps(int(spec.dps)):
-            val = +val
-        return IntegralResult(
-            value=val,
-            error_estimate=float(est),
-            evaluations=count[0],
-            converged=float(est) <= tol,
-            meta={"rule": "trapezoid-line", "precision": "extended",
-                  "gamma": gam, "tail_cutoff": T},
+            meta={"rule": rule, "precision": "extended", **meta},
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sp
@@ -94,53 +95,25 @@ class ComplexIndex:
 # log-gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 terms; relative error below 1e-13 on the
-# half-plane Re z >= 1/2 after the recurrence shift.
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(z):
     """Principal branch of log Gamma, vectorized over complex input.
 
-    Arguments with real part below 1/2 are lifted with the recurrence
-    log Gamma(z) = log Gamma(z+1) - log z, which reproduces the principal
-    branch exactly away from the cut along the nonpositive real axis.
+    This is scipy's ``loggamma``: analytic off the cut along the
+    nonpositive real axis, so its imaginary part is not reduced to
+    (-pi, pi].  Nonfinite arguments raise ValueError and poles raise
+    PoleError, where scipy would return nan.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    w = np.atleast_1d(z).astype(complex).copy()
-    if not np.all(np.isfinite(w)):
-        raise ValueError("log_gamma requires finite arguments")
-    pole = (w.imag == 0.0) & (w.real <= 0.0) & (w.real == np.floor(w.real))
-    if np.any(pole):
-        raise PoleError(f"log_gamma pole at z={w[pole][0]}")
-
-    shift = np.zeros(w.shape, dtype=complex)
-    mask = w.real < 0.5
-    while np.any(mask):
-        shift[mask] += np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < 0.5
-
-    w = w - 1.0
-    t = w + 7.5
-    series = np.full(w.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (w + k)
-    out = _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(series) - shift
-    return complex(out[0]) if scalar else out
+    out = _sp.loggamma(z)
+    # scipy returns nan for both; look for the cause only then
+    if not np.isfinite(out).all():
+        w = np.atleast_1d(z)
+        if not np.isfinite(w).all():
+            raise ValueError("log_gamma requires finite arguments")
+        pole = (w.imag == 0.0) & (w.real <= 0.0) & (w.real == np.floor(w.real))
+        if pole.any():
+            raise PoleError(f"log_gamma pole at z={w[pole][0]}")
+    return complex(out) if z.ndim == 0 else out
 
 
 def gamma_abs_squared(z) -> float:
@@ -336,17 +309,27 @@ def _incomplete_bessel_j_by_parts(x: float, n: int, quad: QuadSpec = DEFAULT_SPE
 # Exponent budget for truncating the Laplace-type cylinder integral; the
 # discarded tail is below e^{-_CYL_L} relative to the peak.
 _CYL_L = math.log(1e17) + 8.0
+_SQRT_PI = math.sqrt(math.pi)
+
+# The Maclaurin series below replaces the quadrature where the accuracy
+# grid against mpmath (tests/test_specfun.py) shows it at least as
+# accurate.  For larger |z| or alpha its alternating terms cancel.
+_CYL_SERIES_RADIUS = 0.5
+_CYL_SERIES_ALPHA_MAX = 3.0
 
 
 def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14,
                                 max_level: int = 9):
     """exp(z^2/4) D_{-alpha}(z) for alpha > 0, vectorized over z.
 
-    Evaluates 1/Gamma(alpha) * integral of s^(alpha-1) e^{-s^2/2 - z s}
-    over s > 0 on a per-point truncated and rescaled unit interval, so a
-    single tanh-sinh grid serves every z simultaneously.  The scaling
-    keeps everything inside double range for all z >= 0 and moderately
-    negative z.
+    The value is 1/Gamma(alpha) times the integral of
+    s^(alpha-1) e^{-s^2/2 - z s} over s > 0 (DLMF 12.5.1).  For
+    |z| <= 1/2 and alpha <= 3 it is summed from the Maclaurin series of
+    that integral in z, to full double precision whatever `rel_tol`.
+    Every other point goes through a per-point truncated and rescaled
+    unit interval, so a single tanh-sinh grid serves all of them at once;
+    the scaling keeps everything inside double range for all z >= 0 and
+    moderately negative z.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -355,31 +338,78 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14,
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
 
+    near = (np.abs(z) <= _CYL_SERIES_RADIUS) & (alpha <= _CYL_SERIES_ALPHA_MAX)
+    vals = np.empty(z.shape)
+    if near.any():
+        even, odd = _cyl_series_coeffs(alpha)
+        zn = z[near]
+        w = zn * zn
+        vals[near] = np.polyval(even, w) + zn * np.polyval(odd, w)
+    if not near.all():
+        vals[~near] = _cyl_quadrature(alpha, z[~near], rel_tol, max_level)
+    return float(vals[0]) if scalar else vals
+
+
+@lru_cache(maxsize=64)
+def _cyl_series_coeffs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd Maclaurin coefficients of exp(z^2/4) D_{-alpha}(z).
+
+    Expanding e^{-z s} in the integral gives c_k = (-1)^k 2^{(alpha+k)/2-1}
+    Gamma((alpha+k)/2) / (k! Gamma(alpha)), so c_{k+2} = c_k (alpha+k) /
+    ((k+1)(k+2)); the duplication formula leaves one reciprocal gamma in c_0
+    and in c_1.  Even and odd coefficients each share a sign, so each part
+    sums in z^2 without cancellation.  Terms stop below 1e-18 c_0 at the
+    series radius; both arrays run from the highest order down (polyval).
+    """
+    c = [float(_SQRT_PI * 2.0 ** (-0.5 * alpha) * _sp.rgamma(0.5 * (alpha + 1.0))),
+         float(-_SQRT_PI * 2.0 ** (0.5 * (1.0 - alpha)) * _sp.rgamma(0.5 * alpha))]
+    while max(abs(c[-2]) * _CYL_SERIES_RADIUS ** (len(c) - 2),
+              abs(c[-1]) * _CYL_SERIES_RADIUS ** (len(c) - 1)) > 1e-18 * c[0]:
+        k = len(c) - 2
+        c.append(c[k] * (alpha + k) / ((k + 1) * (k + 2)))
+    even, odd = np.array(c[0::2][::-1]), np.array(c[1::2][::-1])
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+@lru_cache(maxsize=None)
+def _unit_ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New tanh-sinh nodes of one level on (0, 1): nodes, weights, log nodes."""
+    delta, ww = _ts_nodes(level)
+    ul = 0.5 * delta
+    ur = 1.0 - 0.5 * delta
+    kl = ul > 0.0
+    kr = ur < 1.0
+    us = np.concatenate([ul[kl], ur[kr]])
+    return us, np.concatenate([ww[kl], ww[kr]]), np.log(us)
+
+
+def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
+                    max_level: int) -> np.ndarray:
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
     s_star = 2.0 * _CYL_L / (z + np.sqrt(z * z + 2.0 * _CYL_L))
     a1 = alpha - 1.0
     lg = math.lgamma(alpha)
 
-    def eval_nodes(u):
-        s = s_star[:, None] * u[None, :]
-        expo = a1 * np.log(u)[None, :] - 0.5 * s * s - z[:, None] * s
-        return np.exp(expo)
+    def eval_nodes(u, log_u):
+        # exponent a1 log u - s (s/2 + z), built in one buffer
+        s = np.multiply.outer(s_star, u)
+        expo = 0.5 * s
+        expo += z[:, None]
+        expo *= s
+        np.subtract(a1 * log_u, expo, out=expo)
+        return np.exp(expo, out=expo)
 
     c = 0.5
     total = None
     err = np.inf
     for m in range(0, max_level + 1):
         h = 0.5 ** m
-        delta, ww = _ts_nodes(m)
-        ul = c * delta
-        ur = 1.0 - c * delta
-        kl = ul > 0.0
-        kr = ur < 1.0
-        us = np.concatenate([ul[kl], ur[kr]])
-        ws = np.concatenate([ww[kl], ww[kr]])
-        part = eval_nodes(us) @ ws
+        us, ws, log_us = _unit_ts_nodes(m)
+        part = eval_nodes(us, log_us) @ ws
         if m == 0:
-            total = c * h * (part + _TS_W0 * eval_nodes(np.array([0.5]))[:, 0])
+            mid = np.array([0.5])
+            total = c * h * (part + _TS_W0 * eval_nodes(mid, np.log(mid))[:, 0])
         else:
             prev = total
             total = 0.5 * prev + c * h * part
@@ -390,8 +420,7 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14,
         raise NonConvergence(
             f"cylinder integral stalled at relative change {err:.2e}"
         )
-    vals = np.exp(alpha * np.log(s_star) - lg) * total
-    return float(vals[0]) if scalar else vals
+    return np.exp(alpha * np.log(s_star) - lg) * total
 
 
 def parabolic_cylinder_d(nu: float, z: float, quad: QuadSpec = DEFAULT_SPEC) -> float:

@@ -235,6 +235,16 @@ class TestRoundtripCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["overall_pass"] is False
 
+    @pytest.mark.parametrize("x", [2.0, 10.0])
+    def test_tolerance_below_roundoff_fails_on_exact_agreement(self, tmp_path, capsys, x):
+        # psi = sin u: at these x synthesis and profile can coincide exactly
+        cfg = {"theorem": 2, "mu": 0.0, "psi": {"sine": [1.0]},
+               "x_grid": [x], "tolerance": 1e-30}
+        assert run_cli(tmp_path, "roundtrip", cfg) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["overall_pass"] is False
+        assert doc["rows"][0]["pass"] is False
+
     def test_theorem1_requires_coefficients(self, tmp_path):
         cfg = {"theorem": 1, "mu": 0.25}
         assert run_cli(tmp_path, "roundtrip", cfg) == 2

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import erfc as sp_erfc
 from scipy.special import k0 as sp_k0
 
-from diwt.errors import DomainError, OrderError, UnknownCheckId
+from diwt.errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from diwt.oracles import (CANONICAL_CASES, CHECK_IDS, CheckReport,
                           check_bessel_index_bound,
                           check_bessel_laplace_transform,
@@ -142,6 +142,11 @@ class TestBounds:
     def test_whittaker_equality_case(self):
         r = check_whittaker_index_bound(0.25, 0.0, 1.0, 0.0)
         assert r.passed and r.abs_err == 0.0
+
+    def test_whittaker_gamma_ratio_overflow_is_nonconvergence(self):
+        # |Gamma(1/2)|^2 / |Gamma(1/2 + 240i)|^2 overflows a double
+        with pytest.raises(NonConvergence, match="nonfinite side"):
+            check_whittaker_index_bound(0.0, 240.0, 1.0, 0.0)
 
     def test_violation_is_one_sided(self):
         r = check_bessel_index_bound(3.0, 1.0, 1.2)

@@ -12,6 +12,7 @@ from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line
 from diwt.specfun import (
     ComplexIndex,
     WhittakerOrder,
+    _cyl_quadrature,
     bessel_k0,
     bessel_k_imag,
     erfc,
@@ -74,6 +75,22 @@ def test_log_gamma_recovers_gamma_13_digits():
         ref = sp.loggamma(z)
         # compare through exp to be insensitive to 2*pi*i branch offsets
         assert abs(np.exp(ours - ref) - 1.0) < 1e-12
+
+
+def test_log_gamma_against_mpmath():
+    # independent reference, including Re z < 1/2, large |Im z| and points
+    # just above and below the cut along the negative real axis
+    import mpmath as mp
+
+    res = np.concatenate([np.linspace(-30.25, 30.25, 45),
+                          [-7.5, -2.5, -1.5, -0.5, 0.25, 0.49, 0.5]])
+    ims = (-40.0, -3.0, -0.5, -1e-3, -1e-9, 1e-9, 1e-3, 0.5, 3.0, 40.0)
+    zs = np.array([complex(re, im) for re in res for im in ims])
+    ours = log_gamma(zs)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.loggamma(mp.mpc(z.real, z.imag))) for z in zs])
+    # compare through exp to be insensitive to 2*pi*i branch offsets
+    assert np.max(np.abs(np.exp(ours - ref) - 1.0)) < 1e-13
 
 
 def test_log_gamma_pole():
@@ -234,6 +251,38 @@ def test_cylinder_scaled_closed_forms():
     got2 = parabolic_cylinder_d_scaled(2.0, z)
     want2 = 1.0 - z * want1
     assert np.max(np.abs(got2 - want2) / np.abs(want2)) < 1e-12
+
+
+CYL_ALPHAS = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5,
+              3.0, 3.25, 3.5, 3.75, 4.0, 4.5, 5.0, 6.0, 8.0, 11.0)
+
+
+@pytest.mark.parametrize("alpha", CYL_ALPHAS)
+def test_cylinder_scaled_accuracy_grid(alpha):
+    # the small-|z| series must be no worse than the quadrature it replaces,
+    # measured against mpmath at the same points
+    import mpmath as mp
+
+    z = np.concatenate([np.linspace(-1.5, 1.5, 61), [-1e-9, 1e-9, 1e-3, 0.49]])
+    with mp.workdps(30):
+        ref = np.array([float(mp.exp(mp.mpf(zi) ** 2 / 4) * mp.pcfd(-alpha, mp.mpf(zi)))
+                        for zi in z])
+    got = np.abs(parabolic_cylinder_d_scaled(alpha, z, rel_tol=1e-15) - ref) / ref
+    quad = np.abs(_cyl_quadrature(alpha, z, 1e-15, 9) - ref) / ref
+    near = np.abs(z) <= 0.5
+    assert np.max(got[near]) <= np.max(quad[near])
+    assert np.max(got) <= np.max(quad)
+    if alpha <= 4.0:
+        assert np.max(got[near]) < 5e-15
+
+
+@pytest.mark.parametrize("alpha", (0.25, 1.0, 2.0, 3.0))
+def test_cylinder_scaled_continuous_at_series_edge(alpha):
+    # 0.5 is summed by the series, the next double out by the quadrature
+    for edge in (-0.5, 0.5):
+        outside = np.nextafter(edge, 2.0 * edge)
+        inner, outer = parabolic_cylinder_d_scaled(alpha, np.array([edge, outside]))
+        assert abs(outer - inner) <= 4e-15 * inner
 
 
 # ---------------------------------------------------------------------------
