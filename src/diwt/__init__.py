@@ -48,13 +48,11 @@ from .specfun import (
 )
 from .kernels import (
     KernelKind,
-    KernelQuery,
     KernelTable,
     build_kernel_table,
     cylinder_cos_kernel,
     cylinder_sin_kernel,
     erfc_cos_kernel,
-    kernel_queries,
 )
 from .transforms import (
     CoefficientSeq,

@@ -44,7 +44,7 @@ from .errors import (
     PrecisionBudgetExceeded,
     UnknownCheckId,
 )
-from .kernels import KernelKind, KernelTable, build_kernel_table, kernel_queries
+from .kernels import KernelKind, KernelTable, build_kernel_table
 from .oracles import CHECK_IDS, run_suite
 from .quad import DEFAULT_SPEC, QuadSpec
 from .specfun import (
@@ -827,11 +827,10 @@ def _cmd_kernel_table(args) -> int:
                  serialize_kernel_table(table), started)
         return EXIT_OK
 
-    queries = kernel_queries(
+    table = build_kernel_table(
         KernelKind(cfg["kind"]), float(cfg["mu"]),
         [_index_from_config(v) for v in cfg["indices"]],
         [float(x) for x in cfg["x_grid"]], quad)
-    table = build_kernel_table(queries)
     path = args.out or cfg.get("path") or _default_table_path(cfg)
     _deliver(args, "kernel-table", cfg, quad,
              serialize_kernel_table(table), started, out_path=path)

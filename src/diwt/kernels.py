@@ -19,9 +19,12 @@ Three kernels are provided:
   times sinh(u) sin(n u), integrated over the symmetric interval; this is
   the synthesis kernel.
 
-``build_kernel_table`` evaluates a product family of kernel queries and
-collects the results into an immutable table; individual failures are
-recorded per entry instead of aborting the whole build.
+A kernel request is valid when x > 0, mu < 1/2 for the two cylinder
+kernels (the erfc kernel ignores mu), and the index is a positive integer
+for the erfc and sine kernels; one check enforces this for every entry
+point.  ``build_kernel_table(kind, mu, indices, xs)`` evaluates every
+(index, x) pair of a product grid into an immutable table; individual
+failures are recorded per entry instead of aborting the whole build.
 """
 
 from __future__ import annotations
@@ -29,24 +32,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__ as _tool_version
 from .errors import DiwtError, DomainError, NonConvergence, OrderError
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
-from .specfun import ComplexIndex, erfcx, parabolic_cylinder_d_scaled
+from .specfun import ComplexIndex, _positive_index, erfcx, parabolic_cylinder_d_scaled
 
 __all__ = [
     "KernelKind",
-    "KernelQuery",
     "KernelTable",
     "cylinder_cos_kernel",
     "erfc_cos_kernel",
     "cylinder_sin_kernel",
     "build_kernel_table",
-    "kernel_queries",
 ]
 
 
@@ -56,46 +57,32 @@ class KernelKind(Enum):
     CYLINDER_SIN = "cylinder-sin"
 
 
-def _as_index(value) -> complex:
-    if isinstance(value, ComplexIndex):
-        return value.value
-    return complex(value)
+def _checked(kind: KernelKind, mu: float, index, x: float):
+    """Validate one kernel request; returns the normalized (mu, index, x).
 
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """One kernel evaluation request.
-
-    For the erfc kernel the mu field is meaningless and normalized to 0;
-    the two cylinder kernels require mu < 1/2 so the cylinder order stays
-    negative.  The sine kernel and the erfc kernel take positive integer
-    indices only; the cosine kernel accepts any complex index.
+    The erfc kernel ignores mu, which is normalized to 0; the two cylinder
+    kernels require mu < 1/2 so the cylinder order stays negative.  The
+    sine and erfc kernels take positive integer indices only; the cosine
+    kernel accepts any finite complex index.
     """
-
-    kind: KernelKind
-    mu: float
-    index: ComplexIndex
-    x: float
-    quad: QuadSpec = DEFAULT_SPEC
-
-    def __post_init__(self):
-        if not isinstance(self.kind, KernelKind):
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if not isinstance(self.index, ComplexIndex):
-            object.__setattr__(self, "index", ComplexIndex(complex(self.index).real,
-                                                           complex(self.index).imag))
-        if not (math.isfinite(self.x) and self.x > 0.0):
-            raise DomainError(f"kernel abscissa must be positive, got {self.x}")
-        if self.kind is KernelKind.ERFC_COS:
-            object.__setattr__(self, "mu", 0.0)
-        elif not (math.isfinite(self.mu) and self.mu < 0.5):
-            raise OrderError(f"cylinder kernels require mu < 1/2, got {self.mu}")
-        if self.kind in (KernelKind.ERFC_COS, KernelKind.CYLINDER_SIN):
-            n = self.index
-            if n.im != 0.0 or n.re != int(n.re) or n.re < 1:
-                raise DomainError(
-                    f"kernel {self.kind.value} requires a positive integer index, got {n}"
-                )
+    if not isinstance(kind, KernelKind):
+        raise DomainError(f"unknown kernel kind {kind!r}")
+    if not isinstance(index, ComplexIndex):
+        index = complex(index)
+        index = ComplexIndex(index.real, index.imag)
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"kernel {kind.value} requires x > 0, got {x}")
+    if kind is KernelKind.ERFC_COS:
+        mu = 0.0
+    elif not (math.isfinite(mu) and mu < 0.5):
+        raise OrderError(f"kernel {kind.value} requires mu < 1/2, got {mu}")
+    if kind is not KernelKind.CYLINDER_COS:
+        if index.im != 0.0:
+            raise DomainError(
+                f"kernel {kind.value} requires a real index, got {index.value}")
+        _positive_index(index.re, f"kernel {kind.value} index")
+    return float(mu), index, x
 
 
 def _inner_rel_tol(quad: QuadSpec) -> float:
@@ -196,6 +183,30 @@ def _kernel_eval_mp(kind: KernelKind, mu: float, nu: complex, x: float, dps: int
         return v
 
 
+_STALL_NAMES = {
+    KernelKind.CYLINDER_COS: "cosine kernel",
+    KernelKind.ERFC_COS: "erfc kernel",
+    KernelKind.CYLINDER_SIN: "sine kernel",
+}
+
+
+def _kernel_value(kind: KernelKind, mu: float, index, x: float, quad: QuadSpec):
+    """Checked kernel value and error estimate; raises on non-convergence.
+
+    The value is real except for a complex index of the cosine kernel.
+    """
+    mu, index, x = _checked(kind, mu, index, x)
+    value, err, ok = _kernel_eval(kind, mu, index.value, x, quad)
+    if not ok:
+        raise NonConvergence(
+            f"{_STALL_NAMES[kind]} at (mu={mu}, index={index.value}, x={x}) "
+            f"stalled at error {err:.2e}"
+        )
+    if kind is KernelKind.CYLINDER_COS and index.im != 0.0:
+        return complex(value), float(err)
+    return float(np.real(value)), float(err)
+
+
 def cylinder_cos_kernel(mu: float, index, x: float,
                         quad: QuadSpec = DEFAULT_SPEC) -> complex:
     """Cosine-type inversion kernel with scaled-cylinder profile.
@@ -205,35 +216,12 @@ def cylinder_cos_kernel(mu: float, index, x: float,
     may be complex; for real nu the result is real up to roundoff and is
     returned with a hard zero imaginary part.
     """
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"cylinder_cos_kernel requires mu < 1/2, got {mu}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"cylinder_cos_kernel requires x > 0, got {x}")
-    nu = _as_index(index)
-    value, err, ok = _kernel_eval(KernelKind.CYLINDER_COS, mu, nu, x, quad)
-    if not ok:
-        raise NonConvergence(
-            f"cosine kernel at (mu={mu}, nu={nu}, x={x}) stalled at error {err:.2e}"
-        )
-    if nu.imag == 0.0:
-        return complex(float(np.real(value)), 0.0)
-    return complex(value)
+    return complex(_kernel_value(KernelKind.CYLINDER_COS, mu, index, x, quad)[0])
 
 
 def erfc_cos_kernel(n: int, x: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
     """Cosine-type kernel with scaled-erfc profile (the mu = 0 reduction)."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"erfc_cos_kernel requires integer n >= 1, got {n}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"erfc_cos_kernel requires x > 0, got {x}")
-    value, err, ok = _kernel_eval(KernelKind.ERFC_COS, 0.0, complex(int(n)), x, quad)
-    if not ok:
-        raise NonConvergence(
-            f"erfc kernel at (n={n}, x={x}) stalled at error {err:.2e}"
-        )
-    return float(np.real(value))
+    return _kernel_value(KernelKind.ERFC_COS, 0.0, n, x, quad)[0]
 
 
 def cylinder_sin_kernel(mu: float, n: int, x: float,
@@ -243,19 +231,7 @@ def cylinder_sin_kernel(mu: float, n: int, x: float,
     The integrand is even, so the value is twice the [0, pi] integral of
     the scaled cylinder profile of order -(2-2 mu) times sinh(u) sin(n u).
     """
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"cylinder_sin_kernel requires mu < 1/2, got {mu}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"cylinder_sin_kernel requires integer n >= 1, got {n}")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"cylinder_sin_kernel requires x > 0, got {x}")
-    value, err, ok = _kernel_eval(KernelKind.CYLINDER_SIN, mu, complex(int(n)), x, quad)
-    if not ok:
-        raise NonConvergence(
-            f"sine kernel at (mu={mu}, n={n}, x={x}) stalled at error {err:.2e}"
-        )
-    return float(np.real(value))
+    return _kernel_value(KernelKind.CYLINDER_SIN, mu, n, x, quad)[0]
 
 
 def _cylinder_sin_kernel_full_range(mu: float, n: int, x: float,
@@ -319,49 +295,24 @@ class KernelTable:
         return len(self.indices) * len(self.grid)
 
 
-def kernel_queries(kind: KernelKind, mu: float, indices: Iterable, xs: Iterable[float],
-                   quad: QuadSpec = DEFAULT_SPEC) -> list[KernelQuery]:
-    """Product family of queries for one table build."""
-    out = []
-    for idx in indices:
-        for x in xs:
-            out.append(KernelQuery(kind=kind, mu=mu, index=idx, x=float(x), quad=quad))
-    return out
+def build_kernel_table(kind: KernelKind, mu: float, indices: Iterable,
+                       xs: Iterable[float], quad: QuadSpec = DEFAULT_SPEC) -> KernelTable:
+    """Evaluate one kernel on every (index, x) pair of a product grid.
 
-
-def build_kernel_table(queries: Sequence[KernelQuery]) -> KernelTable:
-    """Evaluate a complete (index x grid) family of kernel queries.
-
-    All queries must share kind, mu, and quad settings and jointly cover
-    the full product of their index and x sets.  Entries that fail to
-    converge (or raise any library error) are marked failed and reported
-    in the table rather than aborting the build.
+    Every request is checked before anything is evaluated, so invalid
+    input raises.  Indices keep the order of their first appearance
+    (duplicates dropped); the grid holds the distinct xs in increasing
+    order.  Entries that fail to converge (or raise any library error)
+    are marked failed and reported in the table rather than aborting the
+    build.
     """
-    queries = list(queries)
-    if not queries:
-        raise DomainError("build_kernel_table needs at least one query")
-    kind = queries[0].kind
-    mu = queries[0].mu
-    quad = queries[0].quad
-    for q in queries[1:]:
-        if q.kind is not kind or q.mu != mu or q.quad != quad:
-            raise DomainError("kernel table queries must share kind, mu, and quad settings")
-
-    indices = []
-    xs = []
-    seen = set()
-    for q in queries:
-        key = (q.index.re, q.index.im)
-        if key not in seen:
-            seen.add(key)
-            indices.append(q.index)
-        if q.x not in xs:
-            xs.append(q.x)
-    xs = sorted(xs)
-    want = {((i.re, i.im), x) for i in indices for x in xs}
-    got = {((q.index.re, q.index.im), q.x) for q in queries}
-    if want != got:
-        raise DomainError("kernel table queries must form a full index-by-grid product")
+    xs = list(xs)
+    checked = [_checked(kind, mu, idx, x) for idx in indices for x in xs]
+    if not checked:
+        raise DomainError("build_kernel_table needs at least one index and one x")
+    mu = checked[0][0]
+    indices = tuple(dict.fromkeys(idx for _, idx, _ in checked))
+    xs = tuple(sorted({x for _, _, x in checked}))
 
     values = []
     tols = []
@@ -371,19 +322,12 @@ def build_kernel_table(queries: Sequence[KernelQuery]) -> KernelTable:
         row_t = []
         for j, x in enumerate(xs):
             try:
-                v, err, ok = _kernel_eval(kind, mu, idx.value, x, quad)
-                if not ok:
-                    raise NonConvergence(f"entry stalled at error {err:.2e}")
-                if kind is not KernelKind.CYLINDER_COS or idx.im == 0.0:
-                    v = float(np.real(v))
-                else:
-                    v = complex(v)
-                row_v.append(v)
-                row_t.append(float(err))
+                v, err = _kernel_value(kind, mu, idx, x, quad)
             except DiwtError as exc:
                 failures.append((i, j, f"{type(exc).__name__}: {exc}"))
-                row_v.append(float("nan"))
-                row_t.append(float("inf"))
+                v, err = float("nan"), float("inf")
+            row_v.append(v)
+            row_t.append(err)
         values.append(tuple(row_v))
         tols.append(tuple(row_t))
 
@@ -391,8 +335,8 @@ def build_kernel_table(queries: Sequence[KernelQuery]) -> KernelTable:
     return KernelTable(
         kind=kind,
         mu=mu,
-        indices=tuple(indices),
-        grid=tuple(xs),
+        indices=indices,
+        grid=xs,
         values=tuple(values),
         achieved_tolerances=tuple(tols),
         failures=tuple(failures),

@@ -18,7 +18,7 @@ from scipy.special import kv as _real_order_k
 from .errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from .kernels import cylinder_cos_kernel, cylinder_sin_kernel, erfc_cos_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
-from .specfun import (ComplexIndex, WhittakerOrder, _w_contour_general,
+from .specfun import (ComplexIndex, WhittakerOrder, _positive_index, _w_contour_general,
                       bessel_k_imag, erfcx, incomplete_bessel_j,
                       log_gamma, whittaker_w_mb)
 from .transforms import CoefficientSeq, ForwardHandle
@@ -182,9 +182,7 @@ def check_bessel_laplace_transform(n: int, u: float,
     comparison degenerates to an absolute one, which the abs-or-rel pass
     rule covers.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"check requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _positive_index(n, "check index n")
     u = float(u)
     if not (0.0 < u <= math.pi):
         raise DomainError(
@@ -220,9 +218,7 @@ def check_kernel_index_relation(mu: float, n: int, x: float,
     mu = float(mu)
     if not (math.isfinite(mu) and mu < 0.5):
         raise OrderError(f"check requires mu < 1/2, got {mu}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"check requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _positive_index(n, "check index n")
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"check requires x > 0, got {x}")
@@ -243,9 +239,7 @@ def check_kl_reduction(n: int, x: float,
     versus erfc quadrature.  The report carries the binding sub-relation
     (the one with the larger relative error); pass requires both.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"check requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _positive_index(n, "check index n")
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"check requires x > 0, got {x}")
@@ -354,9 +348,7 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     mu = float(mu)
     if not (math.isfinite(mu) and mu < 0.5):
         raise OrderError(f"check requires mu < 1/2, got {mu}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"check requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _positive_index(n, "check index n")
     if n > _ITERATED_INDEX_CAP:
         raise DomainError(
             f"iterated route supports n <= {_ITERATED_INDEX_CAP}, got {n}")

@@ -91,6 +91,17 @@ class ComplexIndex:
         return complex(self.re, self.im)
 
 
+def _positive_index(n, what: str) -> int:
+    """n as an int; DomainError unless n is a finite integer >= 1."""
+    try:
+        ok = math.isfinite(n) and n == int(n) and n >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be an integer >= 1, got {n}")
+    return int(n)
+
+
 # ---------------------------------------------------------------------------
 # log-gamma
 # ---------------------------------------------------------------------------
@@ -216,7 +227,13 @@ def _k_imag_series(sigma: float, t):
     return -math.pi * np.imag(ivals) / math.sinh(math.pi * sigma)
 
 
-def _k_imag_batch(sigma: float, t, rel_tol: float = 1e-13, max_level: int = 9):
+# Level cap of the two batched tanh-sinh loops below (K batch, cylinder D),
+# and the K batch's relative-change target.
+_BATCH_MAX_LEVEL = 9
+_K_BATCH_REL_TOL = 1e-13
+
+
+def _k_imag_batch(sigma: float, t):
     """K_{i sigma}(t_j) for an array of t >= ~1 on a shared cosh grid."""
     t = np.asarray(t, dtype=float)
     tmin = float(t.min())
@@ -229,7 +246,7 @@ def _k_imag_batch(sigma: float, t, rel_tol: float = 1e-13, max_level: int = 9):
 
     total = None
     diff = math.inf
-    for m in range(0, max_level + 1):
+    for m in range(0, _BATCH_MAX_LEVEL + 1):
         h = 0.5 ** m
         delta, ww = _ts_nodes(m)
         sl = c * delta
@@ -250,22 +267,13 @@ def _k_imag_batch(sigma: float, t, rel_tol: float = 1e-13, max_level: int = 9):
                 # only changes relative to the batch scale matter
                 diff = float(np.max(np.abs(total - prev))
                              / max(float(np.max(np.abs(total))), 1e-300))
-                if diff <= rel_tol:
+                if diff <= _K_BATCH_REL_TOL:
                     return total
-    if diff > 100.0 * rel_tol:
+    if diff > 100.0 * _K_BATCH_REL_TOL:
         raise NonConvergence(
             f"shared-grid Bessel batch stalled at relative change {diff:.2e}"
         )
     return total
-
-
-def _incomplete_bessel_core(x: float, n: int, quad: QuadSpec):
-    r = integrate_finite(
-        lambda u: np.exp(-x * np.cosh(u)) * np.cos(n * u), 0.0, math.pi, quad
-    )
-    if not r.converged:
-        raise NonConvergence("incomplete Bessel integral did not converge")
-    return float(r.value)
 
 
 def incomplete_bessel_j(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> float:
@@ -278,16 +286,19 @@ def incomplete_bessel_j(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> floa
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"incomplete_bessel_j requires x > 0, got {x}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"incomplete_bessel_j requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _positive_index(n, "incomplete_bessel_j index n")
     if quad.precision == "extended":
         import mpmath as mp
 
         with mp.workdps(int(quad.dps)):
             return mp.quad(lambda u: mp.exp(-x * mp.cosh(u)) * mp.cos(n * u),
                            [0, mp.pi])
-    return _incomplete_bessel_core(x, n, quad)
+    r = integrate_finite(
+        lambda u: np.exp(-x * np.cosh(u)) * np.cos(n * u), 0.0, math.pi, quad
+    )
+    if not r.converged:
+        raise NonConvergence("incomplete Bessel integral did not converge")
+    return float(r.value)
 
 
 def _incomplete_bessel_j_by_parts(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> float:
@@ -318,8 +329,7 @@ _CYL_SERIES_RADIUS = 0.5
 _CYL_SERIES_ALPHA_MAX = 3.0
 
 
-def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14,
-                                max_level: int = 9):
+def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     """exp(z^2/4) D_{-alpha}(z) for alpha > 0, vectorized over z.
 
     The value is 1/Gamma(alpha) times the integral of
@@ -346,7 +356,7 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14,
         w = zn * zn
         vals[near] = np.polyval(even, w) + zn * np.polyval(odd, w)
     if not near.all():
-        vals[~near] = _cyl_quadrature(alpha, z[~near], rel_tol, max_level)
+        vals[~near] = _cyl_quadrature(alpha, z[~near], rel_tol, _BATCH_MAX_LEVEL)
     return float(vals[0]) if scalar else vals
 
 

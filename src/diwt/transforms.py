@@ -32,10 +32,11 @@ from .errors import (
     OrderError,
     PrecisionBudgetExceeded,
 )
-from .kernels import KernelKind, _inner_rel_tol, _kernel_eval, _kernel_eval_many, _kernel_eval_mp
+from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval_mp, \
+    cylinder_sin_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, as_rows, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from .specfun import WhittakerOrder, _w_mb_extended, gamma_abs_squared, \
+from .specfun import WhittakerOrder, _positive_index, _w_mb_extended, gamma_abs_squared, \
     parabolic_cylinder_d_scaled, whittaker_w_mb
 
 
@@ -91,8 +92,7 @@ class CoefficientSeq:
 
     def value_at(self, n: int) -> complex:
         # entries beyond the stored list are the permitted trailing zeros
-        if int(n) != n or n < 1:
-            raise DomainError(f"coefficient index must be a positive integer, got {n}")
+        n = _positive_index(n, "coefficient index")
         return self.values[n - 1] if n <= len(self.values) else 0.0
 
     @property
@@ -417,19 +417,10 @@ def _coarse_mass(f: FunctionHandle) -> float:
     return 1.5 * (m1 + m2) + 1.0
 
 
-def _checked_indices(ns) -> list[int]:
-    out = []
-    for n in ns:
-        if int(n) != n or n < 1:
-            raise DomainError(f"coefficient index must be a positive integer, got {n}")
-        out.append(int(n))
-    return out
-
-
 def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
                         f: FunctionHandle, ns, quad: QuadSpec) -> list[InversionResult]:
     cap = _index_cap(quad)
-    ns = _checked_indices(ns)
+    ns = [_positive_index(n, "coefficient index") for n in ns]
     for n in ns:
         if n > cap:
             raise PrecisionBudgetExceeded(
@@ -635,7 +626,7 @@ def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
     mu = float(mu)
     if not (math.isfinite(mu) and mu < 0.5):
         raise OrderError(f"coefficient_transform requires mu < 1/2, got {mu}")
-    ns = _checked_indices(ns)
+    ns = [_positive_index(n, "coefficient index") for n in ns]
     for _ in ns:
         _warn_if_sampled(f)
     if f.is_zero or not ns:
@@ -781,9 +772,7 @@ def closed_form_coefficients(profile: FourierPolynomial, mu: float, n: int) -> f
     mu = float(mu)
     if not (math.isfinite(mu) and mu < 0.5):
         raise OrderError(f"closed_form_coefficients requires mu < 1/2, got {mu}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"coefficient index must be a positive integer, got {n}")
-    n = int(n)
+    n = _positive_index(n, "coefficient index")
     b = profile.sine_coeffs[n - 1] if n <= len(profile.sine_coeffs) else 0.0
     if b == 0.0:
         return 0.0
@@ -821,11 +810,8 @@ def synthesize_series(seq: CoefficientSeq, mu: float, x: float,
         kspec = QuadSpec(abs_tol=min(ktol, 1e-6), rel_tol=min(quad.rel_tol, 1e-12),
                          max_refinements=max(quad.max_refinements, 12),
                          max_evals=quad.max_evals)
-        kv, kerr, ok = _kernel_eval(KernelKind.CYLINDER_SIN, mu, complex(n), x, kspec)
-        if not ok:
-            raise NonConvergence(
-                f"sine kernel at (mu={mu}, n={n}, x={x}) stalled at error {kerr:.2e}")
-        terms.append(pref * math.sinh(math.pi * n) * float(np.real(kv)) * a)
+        kv = cylinder_sin_kernel(mu, n, x, kspec)
+        terms.append(pref * math.sinh(math.pi * n) * kv * a)
     if any(isinstance(t, complex) for t in terms):
         value = complex(sum(terms))
     else:

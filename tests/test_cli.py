@@ -373,7 +373,7 @@ class TestKernelTableCommand:
         # table with the bad entry flagged; injection keeps it independent
         # of any particular hard integrand
         bad = make_table((0.25, float("nan")), failures=((0, 1, "injected"),))
-        monkeypatch.setattr(cli, "build_kernel_table", lambda queries: bad)
+        monkeypatch.setattr(cli, "build_kernel_table", lambda *a: bad)
         path = tmp_path / "partial.csv"
         build = {"action": "build", "kind": "erfc-cos", "mu": 0.0,
                  "indices": [1], "x_grid": [1.0, 2.0], "path": str(path)}

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from diwt import kernels
 from diwt.errors import DomainError, OrderError
 from diwt.kernels import (
     KernelKind,
-    KernelQuery,
     build_kernel_table,
     cylinder_cos_kernel,
     cylinder_sin_kernel,
     erfc_cos_kernel,
-    kernel_queries,
     _cylinder_sin_kernel_full_range,
 )
 from diwt.quad import QuadSpec
@@ -143,14 +142,41 @@ def test_domain_errors():
 
 
 def test_query_validation():
-    q = KernelQuery(kind=KernelKind.ERFC_COS, mu=0.3, index=ComplexIndex(1, 0), x=1.0)
-    assert q.mu == 0.0  # mu is meaningless for the erfc kernel
+    tab = build_kernel_table(KernelKind.ERFC_COS, 0.3, [ComplexIndex(1, 0)], [1.0])
+    assert tab.mu == 0.0  # mu is meaningless for the erfc kernel
     with pytest.raises(DomainError):
-        KernelQuery(kind=KernelKind.CYLINDER_SIN, mu=0.0, index=ComplexIndex(1, 0.5), x=1.0)
+        build_kernel_table(KernelKind.CYLINDER_SIN, 0.0, [ComplexIndex(1, 0.5)], [1.0])
     with pytest.raises(OrderError):
-        KernelQuery(kind=KernelKind.CYLINDER_COS, mu=0.6, index=ComplexIndex(1, 0), x=1.0)
+        build_kernel_table(KernelKind.CYLINDER_COS, 0.6, [ComplexIndex(1, 0)], [1.0])
     with pytest.raises(DomainError):
-        KernelQuery(kind=KernelKind.ERFC_COS, mu=0.0, index=ComplexIndex(1, 0), x=-2.0)
+        build_kernel_table(KernelKind.ERFC_COS, 0.0, [ComplexIndex(1, 0)], [-2.0])
+
+
+def _no_integral(*args, **kwargs):
+    raise AssertionError("a kernel integral ran for an invalid request")
+
+
+@pytest.mark.parametrize("n, x", [
+    (math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1, math.inf), (1, math.nan),
+])
+@pytest.mark.parametrize("call", [
+    lambda n, x: cylinder_cos_kernel(0.0, n, x),
+    lambda n, x: erfc_cos_kernel(n, x),
+    lambda n, x: cylinder_sin_kernel(0.0, n, x),
+    lambda n, x: build_kernel_table(KernelKind.CYLINDER_COS, 0.0, [1, n], [1.0, x]),
+    lambda n, x: build_kernel_table(KernelKind.CYLINDER_SIN, 0.0, [1, n], [1.0, x]),
+], ids=["cos", "erfc", "sin", "table-cos", "table-sin"])
+def test_nonfinite_request_refused_before_integrating(monkeypatch, call, n, x):
+    monkeypatch.setattr(kernels, "_kernel_eval", _no_integral)
+    with pytest.raises(DomainError):
+        call(n, x)
+
+
+def test_table_orders_indices_by_first_appearance_and_sorts_grid():
+    tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, [2, 1, 2.0], [2.0, 1.0, 2.0])
+    assert [i.re for i in tab.indices] == [2.0, 1.0]
+    assert tab.grid == (1.0, 2.0)
+    assert tab.values[0][0] == erfc_cos_kernel(2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +184,7 @@ def test_query_validation():
 # ---------------------------------------------------------------------------
 
 def test_table_single_entry():
-    tab = build_kernel_table(kernel_queries(KernelKind.ERFC_COS, 0.0, [1], [1.0]))
+    tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, [1], [1.0])
     assert tab.entry_count == 1
     assert tab.values[0][0] == erfc_cos_kernel(1, 1.0)
 
@@ -166,7 +192,7 @@ def test_table_single_entry():
 def test_table_grid_bit_identical():
     ns = [1, 2, 3]
     xs = [0.5, 1.0, 2.0, 4.0]
-    tab = build_kernel_table(kernel_queries(KernelKind.ERFC_COS, 0.0, ns, xs))
+    tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, ns, xs)
     assert tab.entry_count == 12
     assert not tab.failures
     for i, n in enumerate(ns):
@@ -177,35 +203,22 @@ def test_table_grid_bit_identical():
 def test_table_refinement_property():
     loose_spec = QuadSpec(abs_tol=1e-8, rel_tol=1e-6)
     tight_spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
-    loose = build_kernel_table(kernel_queries(KernelKind.ERFC_COS, 0.0, [1, 2], [1.0], loose_spec))
-    tight = build_kernel_table(kernel_queries(KernelKind.ERFC_COS, 0.0, [1, 2], [1.0], tight_spec))
+    loose = build_kernel_table(KernelKind.ERFC_COS, 0.0, [1, 2], [1.0], loose_spec)
+    tight = build_kernel_table(KernelKind.ERFC_COS, 0.0, [1, 2], [1.0], tight_spec)
     for i in range(2):
         assert abs(loose.values[i][0] - tight.values[i][0]) < 1e-8 + 1e-6 * abs(tight.values[i][0])
-
-
-def test_table_rejects_mixed_queries():
-    qa = KernelQuery(kind=KernelKind.ERFC_COS, mu=0.0, index=ComplexIndex(1, 0), x=1.0)
-    qb = KernelQuery(kind=KernelKind.CYLINDER_SIN, mu=0.0, index=ComplexIndex(1, 0), x=1.0)
-    with pytest.raises(DomainError):
-        build_kernel_table([qa, qb])
-
-
-def test_table_rejects_partial_product():
-    qs = kernel_queries(KernelKind.ERFC_COS, 0.0, [1, 2], [1.0, 2.0])
-    with pytest.raises(DomainError):
-        build_kernel_table(qs[:-1])
 
 
 def test_table_marks_failures_instead_of_raising():
     # starving the quadrature budget forces per-entry non-convergence
     starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-15, max_evals=100)
-    tab = build_kernel_table(kernel_queries(KernelKind.ERFC_COS, 0.0, [1], [1.0], starved))
+    tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, [1], [1.0], starved)
     assert len(tab.failures) == 1
     assert math.isnan(tab.values[0][0])
 
 
 def test_table_metadata():
-    tab = build_kernel_table(kernel_queries(KernelKind.CYLINDER_SIN, 0.25, [1], [1.0]))
+    tab = build_kernel_table(KernelKind.CYLINDER_SIN, 0.25, [1], [1.0])
     assert "tool_version" in tab.meta
     assert tab.meta["quad"]["precision"] == "double"
     assert tab.achieved_tolerances[0][0] < 1e-10
