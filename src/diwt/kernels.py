@@ -37,9 +37,10 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__ as _tool_version
-from .errors import DiwtError, DomainError, NonConvergence, OrderError
+from .errors import DiwtError, DomainError, NonConvergence
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
-from .specfun import ComplexIndex, _positive_index, erfcx, parabolic_cylinder_d_scaled
+from .specfun import ComplexIndex, _order_below_half, _positive, _positive_index, erfcx, \
+    parabolic_cylinder_d_scaled
 
 __all__ = [
     "KernelKind",
@@ -70,13 +71,8 @@ def _checked(kind: KernelKind, mu: float, index, x: float):
     if not isinstance(index, ComplexIndex):
         index = complex(index)
         index = ComplexIndex(index.real, index.imag)
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"kernel {kind.value} requires x > 0, got {x}")
-    if kind is KernelKind.ERFC_COS:
-        mu = 0.0
-    elif not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"kernel {kind.value} requires mu < 1/2, got {mu}")
+    x = _positive(x, f"kernel {kind.value}")
+    mu = 0.0 if kind is KernelKind.ERFC_COS else _order_below_half(mu, f"kernel {kind.value}")
     if kind is not KernelKind.CYLINDER_COS:
         if index.im != 0.0:
             raise DomainError(

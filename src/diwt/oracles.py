@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kv as _real_order_k
 
-from .errors import DomainError, NonConvergence, OrderError, UnknownCheckId
+from .errors import DomainError, NonConvergence, UnknownCheckId
 from .kernels import cylinder_cos_kernel, cylinder_sin_kernel, erfc_cos_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
-from .specfun import (ComplexIndex, WhittakerOrder, _positive_index, _w_contour_general,
-                      bessel_k_imag, erfcx, incomplete_bessel_j,
-                      log_gamma, whittaker_w_mb)
+from .specfun import (ComplexIndex, WhittakerOrder, _order_below_half, _positive,
+                      _positive_index, _w_contour_general, bessel_k_imag, erfcx,
+                      incomplete_bessel_j, log_gamma, whittaker_w_mb)
 from .transforms import CoefficientSeq, ForwardHandle
 
 
@@ -93,10 +93,8 @@ def check_whittaker_laplace_bessel(mu: float, rho: complex, x: float,
     scipy).  The second index may be purely real or purely imaginary.
     """
     mu = float(mu)
-    x = float(x)
+    x = _positive(x, "check")
     rho = complex(rho)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"check requires x > 0, got {x}")
     if rho.real != 0.0 and rho.imag != 0.0:
         raise DomainError(
             f"second index must be purely real or purely imaginary, got {rho}")
@@ -151,10 +149,8 @@ def check_gaussian_laplace_erfc(t: float, u: float,
     positive, and this check deliberately implements the corrected sign
     (hence the check id suffix).
     """
-    t = float(t)
+    t = _positive(t, "check", "t")
     u = float(u)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"check requires t > 0, got {t}")
     if not (0.0 <= u <= math.pi):
         raise DomainError(f"check requires u in [0, pi], got {u}")
     spec = _integration_spec(quad)
@@ -215,13 +211,9 @@ def check_kernel_index_relation(mu: float, n: int, x: float,
     part of the inversion kernel at order mu - 1/2 and complex index
     (n - i)/2; the two go through different integrand assemblies.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"check requires mu < 1/2, got {mu}")
+    mu = _order_below_half(mu, "check")
     n = _positive_index(n, "check index n")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"check requires x > 0, got {x}")
+    x = _positive(x, "check")
     lhs = cylinder_sin_kernel(mu, n, x, quad)
     rhs = 2.0 * cylinder_cos_kernel(mu - 0.5, ComplexIndex(0.5 * n, -0.5),
                                     x, quad).imag
@@ -240,9 +232,7 @@ def check_kl_reduction(n: int, x: float,
     (the one with the larger relative error); pass requires both.
     """
     n = _positive_index(n, "check index n")
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"check requires x > 0, got {x}")
+    x = _positive(x, "check")
     tol = 1e-10
     wl = whittaker_w_mb(WhittakerOrder(0.0, float(n)), x, quad=quad)
     wr = math.sqrt(x / math.pi) * bessel_k_imag(float(n), 0.5 * x, quad)
@@ -282,10 +272,8 @@ def check_bessel_index_bound(tau: float, x: float, delta: float,
     beyond the rounding slack.
     """
     tau = abs(float(tau))
-    x = float(x)
+    x = _positive(x, "check")
     delta = float(delta)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"check requires x > 0, got {x}")
     if not (0.0 <= delta < 0.5 * math.pi):
         raise DomainError(f"check requires delta in [0, pi/2), got {delta}")
     lhs = abs(bessel_k_imag(tau, x, quad))
@@ -301,14 +289,10 @@ def check_whittaker_index_bound(mu: float, tau: float, x: float, delta: float,
     One-sided: |W(mu, i tau; x)| against the damped order-zero envelope
     with the gamma-ratio amplification, within the rounding slack.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"check requires mu < 1/2, got {mu}")
+    mu = _order_below_half(mu, "check")
     tau = abs(float(tau))
-    x = float(x)
+    x = _positive(x, "check")
     delta = float(delta)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"check requires x > 0, got {x}")
     if not (0.0 <= delta < 0.5 * math.pi):
         raise DomainError(f"check requires delta in [0, pi/2), got {delta}")
     cd = math.cos(delta)
@@ -345,9 +329,7 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     violently with n (the sinh amplification again); n is capped at 3
     and only double precision is offered.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"check requires mu < 1/2, got {mu}")
+    mu = _order_below_half(mu, "check")
     n = _positive_index(n, "check index n")
     if n > _ITERATED_INDEX_CAP:
         raise DomainError(

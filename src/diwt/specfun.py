@@ -102,6 +102,22 @@ def _positive_index(n, what: str) -> int:
     return int(n)
 
 
+def _positive(x, what: str, name: str = "x") -> float:
+    """x as a float; DomainError unless x is finite and > 0."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"{what} requires {name} > 0, got {x}")
+    return x
+
+
+def _order_below_half(mu, what: str, error: type = OrderError) -> float:
+    """mu as a float; `error` (OrderError by default) unless mu is finite and < 1/2."""
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu < 0.5):
+        raise error(f"{what} requires mu < 1/2, got {mu}")
+    return mu
+
+
 # ---------------------------------------------------------------------------
 # log-gamma
 # ---------------------------------------------------------------------------
@@ -164,10 +180,10 @@ def bessel_k_imag(tau: float, x: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
     drops below eps * e^{-x} with eps = abs_tol / 10.  Even in tau by
     construction (only |tau| enters).
     """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"bessel_k_imag requires x > 0, got {x}")
+    x = _positive(x, "bessel_k_imag")
     tau = abs(float(tau))
+    if not math.isfinite(tau):
+        raise DomainError(f"bessel_k_imag requires a finite order, got {tau}")
     if quad.precision == "extended":
         import mpmath as mp
 
@@ -283,9 +299,7 @@ def incomplete_bessel_j(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> floa
     form; `_incomplete_bessel_j_by_parts` evaluates that form so the two
     can be checked against each other.
     """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"incomplete_bessel_j requires x > 0, got {x}")
+    x = _positive(x, "incomplete_bessel_j")
     n = _positive_index(n, "incomplete_bessel_j index n")
     if quad.precision == "extended":
         import mpmath as mp
@@ -345,6 +359,8 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise OrderError(f"scaled cylinder function requires alpha > 0, got {alpha}")
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise DomainError("scaled cylinder function requires finite z")
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
 
@@ -500,6 +516,10 @@ class _ContourFactor:
             return self._tail_T
         p0 = self.peak()
         T = 16.0
+        # for large |tau| the integrand peaks near |t| = |tau| and may
+        # underflow at t = 0, so the search starts past the peak
+        while T < 2.0 * abs(self.rho):
+            T *= 2.0
         while T <= 4096.0:
             ends = self.factor(np.array([self.gamma + 1j * T, self.gamma - 1j * T]))
             if float(np.abs(ends).max()) <= p0 * 1e-18 + 1e-300:
@@ -607,9 +627,7 @@ def whittaker_w_mb(order: WhittakerOrder, x: float, gamma: float | None = None,
     is supplied.  With scaled=True the value e^{-x/2} W is returned
     instead, which is the form every transform in this package consumes.
     """
-    xf = float(x)
-    if not (math.isfinite(xf) and xf > 0.0):
-        raise DomainError(f"whittaker_w_mb requires x > 0, got {x}")
+    xf = _positive(x, "whittaker_w_mb")
     rho = complex(0.0, abs(float(order.tau)))
     if quad.precision == "extended":
         # pass x through unconverted so mpf abscissae keep their digits
@@ -658,13 +676,9 @@ def whittaker_w_bessel(order: WhittakerOrder, x: float,
     while the upper piece uses a shared cosh-grid for K across all
     quadrature nodes.
     """
-    x = float(x)
-    mu = float(order.mu)
+    x = _positive(x, "whittaker_w_bessel")
+    mu = _order_below_half(order.mu, "the Bessel-Laplace route", DomainError)
     tau = abs(float(order.tau))
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"whittaker_w_bessel requires x > 0, got {x}")
-    if mu >= 0.5:
-        raise DomainError(f"the Bessel-Laplace route requires mu < 1/2, got {mu}")
     if quad.precision == "extended":
         return _w_bessel_extended(mu, tau, x, quad.dps, scaled)
 

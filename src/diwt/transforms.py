@@ -9,6 +9,18 @@ erfc-kernel specialization of the inversion at mu = 0 is provided as a
 separate entry point so the two constant conventions can be checked against
 each other.
 
+Inversion and the coefficient transform are both integrals over t > 0,
+and one half-line rule serves them.  The (0, 1] piece runs in v = -log t,
+where the logarithmic small-t oscillation of f becomes linear, and the
+[1, inf) piece in s = t - 1.  Each piece is clipped to the handle's
+support, so the jumps of a zero extension sit at interval ends, which the
+tanh-sinh rule approaches but never evaluates.  An unbounded piece is
+truncated by its decay: e^{-v/2} on (0, 1], the handle's decay scale on
+[1, inf); in extended precision, where that decay falls below 10^-dps.
+Sampled handles run at relative tolerance 1e-8 and at most 9 levels,
+because knot kinks stall deep refinement, and a piece whose error estimate
+stopped meaning anything raises NonConvergence.
+
 Inversion results carry an explicit error bound: the index amplification
 factor n*sinh(2*pi*n) multiplies every quadrature and kernel error, and
 honesty about that growth is part of the interface.  Functions enter the
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -29,15 +41,14 @@ from .errors import (
     DomainError,
     IntegrabilityWarning,
     NonConvergence,
-    OrderError,
     PrecisionBudgetExceeded,
 )
 from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval_mp, \
     cylinder_sin_kernel
-from .quad import DEFAULT_SPEC, QuadSpec, as_rows, integrate_finite, integrate_finite_rows, \
+from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from .specfun import WhittakerOrder, _positive_index, _w_mb_extended, gamma_abs_squared, \
-    parabolic_cylinder_d_scaled, whittaker_w_mb
+from .specfun import WhittakerOrder, _order_below_half, _positive, _positive_index, \
+    _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled, whittaker_w_mb
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +187,8 @@ class ForwardHandle(FunctionHandle):
     decay_scale = 1.0
 
     def __init__(self, seq: CoefficientSeq, mu: float):
-        if not (math.isfinite(mu) and mu < 0.5):
-            raise OrderError(f"forward series requires mu < 1/2, got {mu}")
         self.seq = seq
-        self.mu = float(mu)
+        self.mu = _order_below_half(mu, "forward series")
         self.is_zero = seq.is_zero
 
     def __call__(self, x, quad: QuadSpec = DEFAULT_SPEC):
@@ -214,10 +223,8 @@ class ProfileHandle(FunctionHandle):
     """
 
     def __init__(self, profile: FourierPolynomial, mu: float):
-        if not (math.isfinite(mu) and mu < 0.5):
-            raise OrderError(f"profile construction requires mu < 1/2, got {mu}")
         self.profile = profile
-        self.mu = float(mu)
+        self.mu = _order_below_half(mu, "profile construction")
         self.is_zero = not any(profile.sine_coeffs)
 
     def __call__(self, x, quad: QuadSpec = DEFAULT_SPEC):
@@ -310,9 +317,7 @@ def admissibility_sum(seq: CoefficientSeq, params: TransformParams) -> float:
 def forward_series(seq: CoefficientSeq, mu: float, x: float,
                    quad: QuadSpec = DEFAULT_SPEC):
     """Sum of a_n times the scaled Whittaker value of index n at x."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"forward_series requires x > 0, got {x}")
+    x = _positive(x, "forward_series")
     return _py_number(ForwardHandle(seq, mu)(x, quad))
 
 
@@ -348,15 +353,30 @@ class SynthesisResult:
     terms: tuple
 
 
-def _warn_if_sampled(f: FunctionHandle):
-    # stacklevel 4: _warn_if_sampled, the shared implementation, the public
-    # entry point, then the caller
-    if isinstance(f, SampledHandle):
-        warnings.warn(
-            "recovery guarantees cover analytic handles only: sampled data go "
-            "through a monotone cubic interpolant, and the reported bound "
-            "covers quadrature of the interpolant, not the data model",
-            IntegrabilityWarning, stacklevel=4)
+def _indices(f: FunctionHandle, ns, quad: QuadSpec | None = None) -> list[int]:
+    """The indices as ints, after the per-index checks and warnings.
+
+    With `quad`, indices above the inversion cap of its precision are
+    refused.  A sampled handle draws one warning per index.
+    """
+    ns = [_positive_index(n, "coefficient index") for n in ns]
+    cap = math.inf if quad is None else _index_cap(quad)
+    for n in ns:
+        if n > cap:
+            raise PrecisionBudgetExceeded(
+                f"index {n} exceeds the {quad.precision}-precision cap {cap}: the "
+                f"amplification factor n sinh(2 pi n) outruns the achievable "
+                f"quadrature accuracy")
+    for _ in ns:
+        if isinstance(f, SampledHandle):
+            # stacklevel 4: _indices, the shared implementation, the
+            # public entry point, then the caller
+            warnings.warn(
+                "recovery guarantees cover analytic handles only: sampled data go "
+                "through a monotone cubic interpolant, and the reported bound "
+                "covers quadrature of the interpolant, not the data model",
+                IntegrabilityWarning, stacklevel=4)
+    return ns
 
 
 def _guard_outer(r, what: str):
@@ -368,74 +388,150 @@ def _guard_outer(r, what: str):
             f"against value {r.value:.2e}")
 
 
-def _integrate_low(G, f: FunctionHandle, abs_tols, spec: QuadSpec):
-    """The (0, 1] piece in v = -log t, clipped to the handle support.
+def _pieces(f: FunctionHandle):
+    """(origin, length) of each half-line piece clipped to f's support, None where f vanishes.
 
-    G(vs, rows) gives the rows of the integrand family (see
-    ``integrate_finite_rows``).  Returns one result per row, or None when
-    the handle vanishes on the whole piece.
+    The (0, 1] piece runs in v = -log t from v0 = -log min(end, 1), the
+    [1, inf) piece in s = t - t0 from t0 = max(start, 1); length inf means
+    unbounded.
     """
     start = getattr(f, "support_start", 0.0)
-    if start >= 1.0:
-        return None
-    if start > 0.0:
-        return integrate_finite_rows(G, 0.0, math.log(1.0 / start), abs_tols, spec)
-    return integrate_semi_infinite_rows(G, 2.0, abs_tols, spec)
+    end = math.inf if f.support_end is None else f.support_end
+    low = high = None
+    if start < min(end, 1.0):
+        v0 = math.log(1.0 / min(end, 1.0))
+        low = (v0, (math.log(1.0 / start) if start > 0.0 else math.inf) - v0)
+    if end > max(start, 1.0):
+        t0 = max(start, 1.0)
+        high = (t0, end - t0)
+    return low, high
 
 
-def _integrate_high(G, f: FunctionHandle, abs_tols, spec: QuadSpec):
-    """The [1, inf) piece in s = t - 1, clipped to the handle support."""
-    if f.support_end is not None:
-        if f.support_end <= 1.0:
-            return None
-        return integrate_finite_rows(G, 0.0, f.support_end - 1.0, abs_tols, spec)
-    return integrate_semi_infinite_rows(G, f.decay_scale, abs_tols, spec)
+def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
+    """One (value, error) per row of int_0^inf H(t, rows) t^p dt (module docstring).
+
+    H(t, rows) gives the open rows of the integrand family at one node t
+    (see ``integrate_finite_rows``); row i runs to abs_tol ``tols[i]``.
+    """
+    if isinstance(f, SampledHandle):
+        # the interpolant's model error dwarfs quadrature error regardless
+        tols = [max(t, 1e-12) for t in tols]
+        spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-8),
+                       max_refinements=min(spec.max_refinements, 9))
+    low, high = _pieces(f)
+    parts = []
+    # dt = t dv adds one power of t on (0, 1]
+    for piece, node, q, decay, where in (
+            (low, lambda v0, v: math.exp(-(v0 + v)), p + 1.0, 2.0, "(0, 1]"),
+            (high, lambda t0, s: t0 + s, p, f.decay_scale, "[1, inf)")):
+        if piece is None:
+            parts.append([(0.0, 0.0)] * len(tols))
+            continue
+        origin, length = piece
+
+        def G(xs, rows, origin=origin, node=node, q=q):
+            cols = []
+            for x in xs.tolist():
+                t = node(origin, x)
+                cols.append(H(t, rows) * t ** q)
+            return np.stack(cols, axis=1)
+
+        if length == math.inf:
+            rs = integrate_semi_infinite_rows(G, decay, tols, spec)
+        else:
+            rs = integrate_finite_rows(G, 0.0, length, tols, spec)
+        for r in rs:
+            _guard_outer(r, f"{name} on {where}")
+        parts.append([(r.value, r.error_estimate) for r in rs])
+    return [(lv + hv, le + he) for (lv, le), (hv, he) in zip(*parts)]
 
 
-def _scalar_rows(g):
-    """Rows G(xs, rows) from g(x, rows), the open rows at one scalar node."""
-    return lambda xs, rows: np.stack([g(x, rows) for x in xs.tolist()], axis=1)
+def _half_line_mp(H, p: float, f: FunctionHandle, quad: QuadSpec, name: str):
+    """Extended-precision ``_half_line`` of one row H(t), an mpmath scalar.
+
+    Returns (value, error); the two cuts are where the decay of each
+    unbounded piece falls below 10^-dps.
+    """
+    import mpmath as mp
+
+    if not hasattr(f, "_eval_mp"):
+        raise DomainError(f"extended-precision {name} needs an analytic handle")
+    dps = int(quad.dps)
+    cut_low = 2.0 * (math.log(20.0) + dps * math.log(10.0))
+    cut_high = f.decay_scale * (math.log(10.0) * (dps + 1) + 1.0)
+    low, high = _pieces(f)
+    rs = []
+    if low is not None:
+        v0, length = low
+
+        def g_low(v):
+            t = mp.exp(-(v0 + v))
+            return H(t) * mp.power(t, p + 1.0)
+
+        rs.append(integrate_finite(g_low, 0.0, min(length, cut_low), quad))
+    if high is not None:
+        t0, length = high
+        rs.append(integrate_finite(lambda s: H(t0 + s) * mp.power(t0 + s, p),
+                                   0.0, min(length, cut_high), quad))
+    with mp.workdps(dps):
+        return mp.fsum(r.value for r in rs), sum(r.error_estimate for r in rs)
 
 
 def _coarse_mass(f: FunctionHandle) -> float:
     """Loose estimate of int |f(t)| t^{-3/2} dt for kernel-error propagation."""
     mspec = QuadSpec(abs_tol=1e-3, rel_tol=1e-2, max_refinements=7)
-
-    def low(v):
-        t = math.exp(-v)
-        return abs(f(t)) * t ** -0.5
-
-    def high(s):
-        t = 1.0 + s
-        return abs(f(t)) * t ** -1.5
-
-    r1 = _integrate_low(as_rows(low), f, [mspec.abs_tol], mspec)
-    r2 = _integrate_high(as_rows(high), f, [mspec.abs_tol], mspec)
-    m1 = 0.0 if r1 is None else abs(r1[0].value)
-    m2 = 0.0 if r2 is None else abs(r2[0].value)
+    [(mass, _)] = _half_line(lambda t, rows: np.array([abs(f(t))]), -1.5, f,
+                             [mspec.abs_tol], mspec, "mass estimate")
     # 1.5 slack on a coarse estimate plus a unit floor
-    return 1.5 * (m1 + m2) + 1.0
+    return 1.5 * mass + 1.0
 
 
-def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
-                        f: FunctionHandle, ns, quad: QuadSpec) -> list[InversionResult]:
-    cap = _index_cap(quad)
-    ns = [_positive_index(n, "coefficient index") for n in ns]
-    for n in ns:
-        if n > cap:
-            raise PrecisionBudgetExceeded(
-                f"index {n} exceeds the {quad.precision}-precision cap {cap}: the "
-                f"amplification factor n sinh(2 pi n) outruns the achievable "
-                f"quadrature accuracy")
-    for _ in ns:
-        _warn_if_sampled(f)
+def _inversion_prefactor(kind: KernelKind, mu: float, quad: QuadSpec):
+    """pi^{-3/2} for the erfc kernel, 2^{1/2+mu} Gamma(1-2mu) / pi^2 for the
+    cylinder kernel; an mpf in extended precision."""
+    if quad.precision == "extended":
+        import mpmath as mp
+
+        with mp.workdps(int(quad.dps)):
+            if kind is KernelKind.ERFC_COS:
+                return mp.pi ** mp.mpf(-1.5)
+            mux = mp.mpf(mu)
+            return mp.power(2, mux + mp.mpf(0.5)) / mp.pi ** 2 * mp.gamma(1 - 2 * mux)
+    if kind is KernelKind.ERFC_COS:
+        return math.pi ** -1.5
+    return 2.0 ** (0.5 + mu) / math.pi ** 2 * math.gamma(1.0 - 2.0 * mu)
+
+
+def _invert(kind: KernelKind, mu: float, f: FunctionHandle, ns,
+            quad: QuadSpec) -> list[InversionResult]:
+    if kind is KernelKind.CYLINDER_COS:
+        mu = _order_below_half(mu, "inversion")
+    ns = _indices(f, ns, quad)
     if f.is_zero or not ns:
         return [InversionResult(0.0, 0.0, {"zero_function": True}) for _ in ns]
-
+    prefactor = _inversion_prefactor(kind, mu, quad)
     amps = [n * math.sinh(2.0 * math.pi * n) for n in ns]
+
     if quad.precision == "extended":
-        return [_invert_extended(kind, mu, prefactor, f, n, quad, amp)
-                for n, amp in zip(ns, amps)]
+        # full-precision chain; expect minutes per coefficient, the nested
+        # contour and kernel quadratures dominate
+        import mpmath as mp
+
+        dps = int(quad.dps)
+        sums = [_half_line_mp(lambda t, n=n: _kernel_eval_mp(kind, mu, complex(n), t, dps)
+                              * f._eval_mp(t, dps), -1.5, f, quad, "inversion")
+                for n in ns]
+        mass = _coarse_mass(f)
+        out = []
+        with mp.workdps(dps):
+            for n, amp, (value, err) in zip(ns, amps, sums):
+                ampx = mp.mpf(n) * mp.sinh(2 * mp.pi * n)
+                bound = abs(prefactor) * ampx * (err + mp.mpf(10) ** (2 - dps) * mass
+                                                 + 2 * mp.mpf(10) ** -dps)
+                out.append(InversionResult(prefactor * ampx * value, bound,
+                                           {"amplification": amp, "dps": dps,
+                                            "mass_estimate": mass}))
+        return out
 
     kern_tols = [max(quad.abs_tol * math.exp(-2.0 * math.pi * n) / 10.0, _KERNEL_TOL_FLOOR)
                  for n in ns]
@@ -444,18 +540,10 @@ def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
                        max_evals=quad.max_evals) for kt in kern_tols]
     outer_tols = [max(quad.abs_tol / (abs(prefactor) * amp * 10.0), _OUTER_TOL_FLOOR)
                   for amp in amps]
-    # the row rule takes abs_tol per index from row_tols; ospec gives the rest
-    row_tols = outer_tols
-    ospec = QuadSpec(abs_tol=row_tols[0], rel_tol=1e-10,
+    # the row rule takes abs_tol per index from outer_tols; ospec gives the rest
+    ospec = QuadSpec(abs_tol=outer_tols[0], rel_tol=1e-10,
                      max_refinements=max(quad.max_refinements, 12),
                      max_evals=quad.max_evals)
-    if isinstance(f, SampledHandle):
-        # knot kinks of the interpolant stall deep refinement, and its
-        # model error dwarfs quadrature error regardless
-        row_tols = [max(ot, 1e-12) for ot in outer_tols]
-        ospec = QuadSpec(abs_tol=row_tols[0], rel_tol=1e-8,
-                         max_refinements=min(quad.max_refinements, 9),
-                         max_evals=quad.max_evals)
     # f itself is evaluated at a fixed tight tolerance: a loose
     # coefficient-level request must not loosen the function values the
     # amplification factor multiplies
@@ -465,94 +553,24 @@ def _invert_with_kernel(kind: KernelKind, mu: float, prefactor: float,
 
     # one f value and one kernel column (every open n) per node; a row's
     # kernel errors count only at the nodes its own integral visits
-    def integrand(t: float, rows, weight: float):
+    def H(t: float, rows):
         col = _kernel_eval_many(kind, mu, [ns[i] for i in rows], t, [kspecs[i] for i in rows])
         for i, (_, e, _) in zip(rows, col):
             if e > kerr_seen[i]:
                 kerr_seen[i] = e
         kernel = np.array([float(np.real(v)) for v, _, _ in col])
-        return kernel * f(t, fspec) * weight
+        return kernel * f(t, fspec)
 
-    # (0, 1] under v = -log t: the small-x oscillation of f is logarithmic,
-    # so the substitution makes it linear and the endpoint integrable
-    def g_low(v: float, rows):
-        t = math.exp(-v)
-        return integrand(t, rows, t ** -0.5)
-
-    def g_high(s: float, rows):
-        t = 1.0 + s
-        return integrand(t, rows, t ** -1.5)
-
-    # piece boundaries follow the handle support so that the zero
-    # extension's jumps sit at interval endpoints, which the quadrature
-    # rule approaches but never evaluates
-    r1 = _integrate_low(_scalar_rows(g_low), f, row_tols, ospec)
-    if r1 is not None:
-        for r in r1:
-            _guard_outer(r, "inversion integral on (0, 1]")
-    r2 = _integrate_high(_scalar_rows(g_high), f, row_tols, ospec)
-    if r2 is not None:
-        for r in r2:
-            _guard_outer(r, "inversion integral on [1, inf)")
-
+    sums = _half_line(H, -1.5, f, outer_tols, ospec, "inversion integral")
     mass = _coarse_mass(f)
     out = []
-    for i, amp in enumerate(amps):
-        low_value, low_err = (0.0, 0.0) if r1 is None else (r1[i].value, r1[i].error_estimate)
-        high_value, high_err = (0.0, 0.0) if r2 is None else (r2[i].value, r2[i].error_estimate)
-        value = _py_number(prefactor * amp * (low_value + high_value))
+    for i, (amp, (value, err)) in enumerate(zip(amps, sums)):
         # the 1e-14 term covers the relative error of the f evaluations
-        bound = abs(prefactor) * amp * (
-            low_err + high_err
-            + (max(kerr_seen[i], kern_tols[i]) + 1e-14) * mass)
-        out.append(InversionResult(value, float(bound),
+        bound = abs(prefactor) * amp * (err + (max(kerr_seen[i], kern_tols[i]) + 1e-14) * mass)
+        out.append(InversionResult(_py_number(prefactor * amp * value), float(bound),
                                    {"amplification": amp, "kernel_tolerance": kern_tols[i],
                                     "outer_tolerance": outer_tols[i], "mass_estimate": mass}))
     return out
-
-
-def _invert_extended(kind: KernelKind, mu: float, prefactor, f, n: int,
-                     quad: QuadSpec, amp: float) -> InversionResult:
-    # full-precision chain; expect minutes per coefficient, the nested
-    # contour and kernel quadratures dominate
-    import mpmath as mp
-
-    if not hasattr(f, "_eval_mp"):
-        raise DomainError("extended-precision inversion needs an analytic handle")
-    dps = int(quad.dps)
-    tol = mp.mpf(10) ** (-dps)
-    cut_low = 2.0 * (math.log(20.0) + dps * math.log(10.0))
-    cut_high = f.decay_scale * (math.log(10.0) * (dps + 1) + 1.0)
-
-    def g_low(v):
-        t = mp.exp(-v)
-        k = _kernel_eval_mp(kind, mu, complex(n), t, dps)
-        return k * f._eval_mp(t, dps) / mp.sqrt(t)
-
-    def g_high(s):
-        t = 1 + s
-        k = _kernel_eval_mp(kind, mu, complex(n), t, dps)
-        return k * f._eval_mp(t, dps) * mp.power(t, mp.mpf(-1.5))
-
-    r1 = integrate_finite(g_low, 0.0, cut_low, quad)
-    r2 = integrate_finite(g_high, 0.0, cut_high, quad)
-    mass = _coarse_mass(f)
-    with mp.workdps(dps):
-        ampx = mp.mpf(n) * mp.sinh(2 * mp.pi * n)
-        value = mp.mpf(prefactor) * ampx * (r1.value + r2.value)
-        bound = abs(prefactor) * ampx * (
-            mp.mpf(r1.error_estimate) + mp.mpf(r2.error_estimate)
-            + mp.mpf(10) ** (2 - dps) * mass + 2 * tol)
-    return InversionResult(value, bound,
-                           {"amplification": amp, "dps": dps,
-                            "mass_estimate": mass})
-
-
-def _cylinder_prefactor(params: TransformParams) -> tuple[float, float]:
-    mu = float(params.mu)
-    if not mu < 0.5:
-        raise OrderError(f"inversion requires mu < 1/2, got {mu}")
-    return mu, 2.0 ** (0.5 + mu) / math.pi ** 2 * math.gamma(1.0 - 2.0 * mu)
 
 
 def invert_series(f: FunctionHandle, params: TransformParams, n: int,
@@ -566,8 +584,7 @@ def invert_series(f: FunctionHandle, params: TransformParams, n: int,
     at a tolerance derated by e^{-2 pi n}/10 relative to the requested
     coefficient accuracy (quad.abs_tol), floored near machine precision.
     """
-    mu, pref = _cylinder_prefactor(params)
-    return _invert_with_kernel(KernelKind.CYLINDER_COS, mu, pref, f, [n], quad)[0]
+    return _invert(KernelKind.CYLINDER_COS, params.mu, f, [n], quad)[0]
 
 
 def invert_many(f: FunctionHandle, params: TransformParams, ns,
@@ -580,8 +597,7 @@ def invert_many(f: FunctionHandle, params: TransformParams, ns,
     stopping level and bound, and its result equals ``invert_series`` bit
     for bit.  Extended precision runs the indices one after another.
     """
-    mu, pref = _cylinder_prefactor(params)
-    return _invert_with_kernel(KernelKind.CYLINDER_COS, mu, pref, f, ns, quad)
+    return _invert(KernelKind.CYLINDER_COS, params.mu, f, ns, quad)
 
 
 def invert_series_kl(f: FunctionHandle, n: int,
@@ -592,7 +608,7 @@ def invert_series_kl(f: FunctionHandle, n: int,
     sqrt(pi/2) folded between kernel and prefactor; the two entry points
     exist so that consistency of the conventions is checkable.
     """
-    return _invert_with_kernel(KernelKind.ERFC_COS, 0.0, math.pi ** -1.5, f, [n], quad)[0]
+    return _invert(KernelKind.ERFC_COS, 0.0, f, [n], quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,27 +639,25 @@ def coefficient_transform_many(f: FunctionHandle, mu: float, ns,
 
 
 def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"coefficient_transform requires mu < 1/2, got {mu}")
-    ns = [_positive_index(n, "coefficient index") for n in ns]
-    for _ in ns:
-        _warn_if_sampled(f)
+    mu = _order_below_half(mu, "coefficient_transform")
+    ns = _indices(f, ns)
     if f.is_zero or not ns:
         return [0.0 for _ in ns]
     orders = [WhittakerOrder(mu, 0.5 * n) for n in ns]
     pspec = quad if quad.precision == "double" else DEFAULT_SPEC
 
-    def weighted(t: float, rows):
+    # t^{mu-2} stays in the row function: folded into p it moves the
+    # values in the last bit
+    def H(t: float, rows):
         w = np.array([whittaker_w_mb(orders[i], t, quad=pspec, scaled=True) for i in rows])
         return w * f(t, pspec) * t ** (mu - 2.0)
 
     # decay probe at 0: t * integrand should fade as t -> 0; max over a few
     # points per decade so an oscillation zero cannot mask growth
-    lo = max(f.support_start, 1e-7) if isinstance(f, SampledHandle) else 1e-7
+    lo = max(getattr(f, "support_start", 0.0), 1e-7)
     every = range(len(ns))
-    near = [abs(weighted(lo * c, every)) * lo * c for c in (1.0, 2.2, 4.7)]
-    far = [abs(weighted(1e-3 * c, every)) * 1e-3 * c for c in (1.0, 2.2, 4.7)]
+    near = [abs(H(lo * c, every)) * lo * c for c in (1.0, 2.2, 4.7)]
+    far = [abs(H(1e-3 * c, every)) * 1e-3 * c for c in (1.0, 2.2, 4.7)]
     for i in every:
         near_i = max(p[i] for p in near)
         far_i = max(p[i] for p in far)
@@ -654,56 +668,14 @@ def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
                 f"this handle", IntegrabilityWarning, stacklevel=3)
 
     if quad.precision == "extended":
-        return [_coefficient_transform_extended(f, mu, n, quad) for n in ns]
+        import mpmath as mp
 
-    def g_low(v: float, rows):
-        t = math.exp(-v)
-        return weighted(t, rows) * t
-
-    def g_high(s: float, rows):
-        return weighted(1.0 + s, rows)
-
-    if isinstance(f, SampledHandle):
-        quad = QuadSpec(abs_tol=max(quad.abs_tol, 1e-12), rel_tol=1e-8,
-                        max_refinements=min(quad.max_refinements, 9),
-                        max_evals=quad.max_evals)
-    tols = [quad.abs_tol] * len(ns)
-    r1 = _integrate_low(_scalar_rows(g_low), f, tols, quad)
-    if r1 is not None:
-        for r in r1:
-            _guard_outer(r, "coefficient integral on (0, 1]")
-    r2 = _integrate_high(_scalar_rows(g_high), f, tols, quad)
-    if r2 is not None:
-        for r in r2:
-            _guard_outer(r, "coefficient integral on [1, inf)")
-    return [_py_number((0.0 if r1 is None else r1[i].value)
-                       + (0.0 if r2 is None else r2[i].value)) for i in every]
-
-
-def _coefficient_transform_extended(f, mu: float, n: int, quad: QuadSpec):
-    import mpmath as mp
-
-    if not hasattr(f, "_eval_mp"):
-        raise DomainError("extended-precision transform needs an analytic handle")
-    dps = int(quad.dps)
-    rho = 0.5j * n
-    cut_low = 2.0 * (math.log(20.0) + dps * math.log(10.0))
-    cut_high = math.log(10.0) * (dps + 1) + 1.0
-
-    def g_low(v):
-        t = mp.exp(-v)
-        return _w_mb_extended(mu, rho, t, None, dps, True) * f._eval_mp(t, dps) \
-            * mp.power(t, mp.mpf(mu) - 1)
-
-    def g_high(s):
-        t = 1 + s
-        return _w_mb_extended(mu, rho, t, None, dps, True) * f._eval_mp(t, dps) \
-            * mp.power(t, mp.mpf(mu) - 2)
-
-    r1 = integrate_finite(g_low, 0.0, cut_low, quad)
-    r2 = integrate_finite(g_high, 0.0, cut_high, quad)
-    with mp.workdps(dps):
-        return +(r1.value + r2.value)
+        dps = int(quad.dps)
+        return [_half_line_mp(lambda t, n=n: _w_mb_extended(mu, 0.5j * n, t, None, dps, True)
+                              * f._eval_mp(t, dps) * mp.power(t, mp.mpf(mu) - 2), 0.0, f,
+                              quad, "transform")[0] for n in ns]
+    sums = _half_line(H, 0.0, f, [quad.abs_tol] * len(ns), quad, "coefficient integral")
+    return [_py_number(value) for value, _ in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +690,8 @@ def function_from_profile(profile: FourierPolynomial, mu: float, x: float,
     harmonic against the odd sinh weight, so only the sine part enters; the
     integral is folded onto [0, pi] accordingly.
     """
-    mu = float(mu)
-    x = float(x)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"function_from_profile requires mu < 1/2, got {mu}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"function_from_profile requires x > 0, got {x}")
+    mu = _order_below_half(mu, "function_from_profile")
+    x = _positive(x, "function_from_profile")
     if not any(profile.sine_coeffs):
         return 0.0
     if quad.precision == "extended":
@@ -769,9 +737,7 @@ def closed_form_coefficients(profile: FourierPolynomial, mu: float, n: int) -> f
     Cosine harmonics contribute nothing (orthogonality against the sine
     system); indices beyond the profile degree give zero.  No quadrature.
     """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"closed_form_coefficients requires mu < 1/2, got {mu}")
+    mu = _order_below_half(mu, "closed_form_coefficients")
     n = _positive_index(n, "coefficient index")
     b = profile.sine_coeffs[n - 1] if n <= len(profile.sine_coeffs) else 0.0
     if b == 0.0:
@@ -787,12 +753,8 @@ def synthesize_series(seq: CoefficientSeq, mu: float, x: float,
     derated by e^{-pi n} against the term's coefficient; per-term values
     are reported so callers can judge convergence of their truncation.
     """
-    mu = float(mu)
-    x = float(x)
-    if not (math.isfinite(mu) and mu < 0.5):
-        raise OrderError(f"synthesize_series requires mu < 1/2, got {mu}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"synthesize_series requires x > 0, got {x}")
+    mu = _order_below_half(mu, "synthesize_series")
+    x = _positive(x, "synthesize_series")
     if seq.n_terms * math.pi > 700.0:
         raise PrecisionBudgetExceeded(
             f"sinh(pi n) overflows for n = {seq.n_terms}")

@@ -189,6 +189,22 @@ def test_k_imag_domain():
             bessel_k0(x)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bessel_k_imag(math.inf, 1.0),
+    lambda: bessel_k_imag(-math.inf, 1.0),
+    lambda: bessel_k_imag(math.nan, 1.0),
+    lambda: parabolic_cylinder_d_scaled(1.5, math.inf),
+    lambda: parabolic_cylinder_d_scaled(1.5, -math.inf),
+    lambda: parabolic_cylinder_d_scaled(1.5, math.nan),
+    lambda: parabolic_cylinder_d_scaled(1.5, np.array([0.3, 2.0, math.nan])),
+], ids=["k-tau-inf", "k-tau-neginf", "k-tau-nan", "d-z-inf", "d-z-neginf", "d-z-nan",
+        "d-z-nan-in-batch"])
+def test_nonfinite_argument_refused_before_integrating(call):
+    # refused up front: no quadrature, no numpy RuntimeWarning on the way
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_k_imag_bound_sampled():
     rng = np.random.default_rng(20240819)
     for _ in range(25):
@@ -293,6 +309,18 @@ def test_w_reduces_to_k_route_mb():
     # at mu = 0 the function collapses to sqrt(x/pi) K_{i tau}(x/2)
     got = whittaker_w_mb(WhittakerOrder(0.0, 0.0), 2.0)
     assert abs(got - math.sqrt(2.0 / math.pi) * bessel_k0(1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [16.0, 60.0, 120.0, 240.0])
+def test_w_contour_large_tau(tau):
+    # the integrand peaks near |t| = tau and underflows at t = 0; a tail
+    # search that started at T = 16 stopped there and returned a denormal
+    import mpmath as mp
+
+    for x in (0.1, 1.0, 5.0):
+        got = whittaker_w_mb(WhittakerOrder(0.0, tau), x)
+        want = mp.sqrt(mp.mpf(x) / mp.pi) * mp.re(mp.besselk(1j * tau, mp.mpf(x) / 2))
+        assert abs(got / float(want) - 1.0) <= 1e-11
 
 
 def test_w_reduces_to_k_route_bessel():

@@ -18,7 +18,8 @@ import pytest
 from diwt.errors import (DomainError, IntegrabilityWarning, NonConvergence,
                          OrderError, PrecisionBudgetExceeded)
 from diwt.quad import DEFAULT_SPEC, QuadSpec, integrate_finite
-from diwt.specfun import WhittakerOrder, bessel_k_imag, whittaker_w_bessel
+from diwt.kernels import cylinder_cos_kernel
+from diwt.specfun import WhittakerOrder, bessel_k_imag, whittaker_w_bessel, whittaker_w_mb
 from diwt.transforms import (CoefficientSeq, ForwardHandle, FourierPolynomial,
                              FunctionHandle, InversionResult, ProfileHandle,
                              SampledHandle, TransformParams,
@@ -359,6 +360,49 @@ class TestSharedNodes:
         assert all(w.filename == __file__ for w in probe)
 
 
+class TestSupportClipping:
+    # sampled data that live entirely on one side of t = 1: the pieces of
+    # the half-line split must be cut at both ends of the support, or the
+    # zero extension's jump falls inside an interval
+    MU = 0.25
+    REF = QuadSpec(abs_tol=1e-15, rel_tol=1e-12)
+
+    @staticmethod
+    def _handle(lo, hi):
+        x = np.linspace(lo, hi, 12)
+        return x, SampledHandle(x, x * np.exp(-x) * np.cos(x))
+
+    def _reference(self, g, knots):
+        # the interpolant is one cubic per knot interval, so the reference
+        # integrates knot interval by knot interval
+        parts = [integrate_finite(g, a, b, self.REF) for a, b in zip(knots[:-1], knots[1:])]
+        assert all(r.converged for r in parts)
+        return math.fsum(r.value for r in parts)
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 0.8), (1.5, 4.0)])
+    def test_coefficient_transform_many(self, lo, hi):
+        knots, f = self._handle(lo, hi)
+        with pytest.warns(IntegrabilityWarning):
+            got = coefficient_transform_many(f, self.MU, [1, 2])
+        for n, value in zip((1, 2), got):
+            order = WhittakerOrder(self.MU, 0.5 * n)
+            want = self._reference(lambda t: whittaker_w_mb(order, t, scaled=True) * f(t)
+                                   * t ** (self.MU - 2.0), knots)
+            # 1e-8 is the relative tolerance the sampled-data rule runs at
+            assert value == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 0.8), (1.5, 4.0)])
+    def test_invert_many(self, lo, hi):
+        knots, f = self._handle(lo, hi)
+        with pytest.warns(IntegrabilityWarning):
+            [r] = invert_many(f, TransformParams(self.MU), [1], QuadSpec(abs_tol=1e-6))
+        pref = 2.0 ** (0.5 + self.MU) / math.pi ** 2 * math.gamma(1.0 - 2.0 * self.MU)
+        integral = self._reference(lambda t: cylinder_cos_kernel(self.MU, 1, t).real * f(t)
+                                   * t ** -1.5, knots)
+        want = pref * r.meta["amplification"] * integral
+        assert abs(r.value - want) <= r.error_bound
+
+
 # ---------------------------------------------------------------------------
 # coefficient transform vs closed form
 # ---------------------------------------------------------------------------
@@ -520,6 +564,62 @@ class TestExtendedGlue:
         got = function_from_profile(PROFILE1, 0.25, 2.0, quad=EXT25)
         want = function_from_profile(PROFILE1, 0.25, 2.0)
         assert float(got) == pytest.approx(want, rel=1e-12)
+
+    # Stubbed special functions make the glue checkable against closed
+    # forms in well under a second; a real extended inversion takes minutes.
+    class _TExpT(FunctionHandle):
+        """f(t) = t e^{-t} in double and extended precision."""
+
+        decay_scale = 1.0
+
+        def __call__(self, x, quad=DEFAULT_SPEC):
+            a = np.asarray(x, dtype=float)
+            y = a * np.exp(-a)
+            return y[()] if y.shape == () else y
+
+        def _eval_mp(self, t, dps):
+            import mpmath as mp
+
+            return t * mp.exp(-t)
+
+    @pytest.mark.parametrize("route", ["kl", "cylinder"])
+    def test_inversion_within_bound(self, route, monkeypatch):
+        import mpmath as mp
+
+        import diwt.transforms as tr
+
+        # kernel e^{-t}: the integral of e^{-t} t e^{-t} t^{-3/2} is sqrt(pi/2)
+        monkeypatch.setattr(tr, "_kernel_eval_mp", lambda kind, mu, nu, t, dps: mp.exp(-t))
+        spec = QuadSpec(precision="extended", dps=30)
+        mu = 0.1
+        if route == "kl":
+            r = invert_series_kl(self._TExpT(), 1, spec)
+        else:
+            r = invert_series(self._TExpT(), TransformParams(mu), 1, spec)
+        with mp.workdps(50):
+            if route == "kl":
+                pref = mp.pi ** mp.mpf(-1.5)
+            else:
+                mux = mp.mpf(mu)
+                pref = mp.power(2, mux + mp.mpf(0.5)) / mp.pi ** 2 * mp.gamma(1 - 2 * mux)
+            exact = pref * mp.sinh(2 * mp.pi) * mp.sqrt(mp.pi / 2)
+            assert r.error_bound < mp.mpf(10) ** -20
+            assert abs(r.value - exact) <= r.error_bound
+
+    def test_coefficient_transform_to_working_precision(self, monkeypatch):
+        import mpmath as mp
+
+        import diwt.transforms as tr
+
+        # W = t^{1/2} e^{-t}: the integral of W t e^{-t} t^{mu-2} is
+        # Gamma(mu + 1/2) / 2^{mu + 1/2}
+        monkeypatch.setattr(tr, "_w_mb_extended",
+                            lambda mu, rho, t, gamma, dps, scaled: mp.sqrt(t) * mp.exp(-t))
+        dps, mu = 30, 0.25
+        got = coefficient_transform(self._TExpT(), mu, 1, QuadSpec(precision="extended", dps=dps))
+        with mp.workdps(50):
+            exact = mp.gamma(mp.mpf(mu) + 0.5) / mp.power(2, mp.mpf(mu) + 0.5)
+            assert abs(got - exact) <= mp.mpf(10) ** (2 - dps)
 
     def test_synthesize_extended(self):
         seq = CoefficientSeq((0.9, -0.2))
