@@ -33,6 +33,7 @@ from .quad import (
     integrate_semi_infinite,
     integrate_semi_infinite_rows,
     integrate_vertical_line,
+    integrate_vertical_line_rows,
 )
 from .specfun import (
     ComplexIndex,

@@ -14,11 +14,12 @@ Three entry points cover every integral that appears downstream:
   line Re(s) = gamma, for Mellin-type integrands that are analytic in a strip
   and decay at both ends.  The trapezoid rule converges geometrically there.
 
-The finite and semi-infinite rules also come row-wise
-(``integrate_finite_rows``, ``integrate_semi_infinite_rows``): a family of
-integrands shares every node evaluation, and each row stops at its own level
-with the result it would have alone.  ``integrate_finite`` is the one-row
-case, so there is a single tanh-sinh refinement loop.
+All three also come row-wise (``integrate_finite_rows``,
+``integrate_semi_infinite_rows``, ``integrate_vertical_line_rows``): a
+family of integrands shares every node evaluation, and each row stops at its
+own level with the result it would have alone.  ``integrate_finite`` and
+``integrate_vertical_line`` are the one-row cases, so there is a single
+tanh-sinh and a single trapezoid refinement loop.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -48,6 +49,7 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_semi_infinite_rows",
     "integrate_vertical_line",
+    "integrate_vertical_line_rows",
 ]
 
 
@@ -188,7 +190,7 @@ class _VecCall:
                 if self.vectorized is True:
                     raise
             self.vectorized = False
-        return np.asarray([self.f(float(xi)) for xi in x])
+        return np.asarray([self.f(xi) for xi in x.tolist()])
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> IntegralResult:
@@ -259,7 +261,8 @@ def integrate_finite_rows(F, a: float, b: float, abs_tols,
             break
         xs = np.concatenate([xl[kl], xr[kr]])
         ws = np.concatenate([weight[kl], weight[kr]])
-        partial = (ws * F(xs, rows)).sum(axis=1)
+        # C order: each row then sums pairwise along its own nodes, as alone
+        partial = (ws * np.ascontiguousarray(F(xs, rows))).sum(axis=1)
         count += xs.size
         if m == 0:
             at_mid = F(np.array([mid]), rows)[:, 0]
@@ -276,23 +279,25 @@ def integrate_finite_rows(F, a: float, b: float, abs_tols,
             still_open = []
             for i in rows:
                 if err[i] <= max(tols[i], spec.rel_tol * abs(total[i])):
-                    results[i] = _row_result(total[i], err[i], count, True, m)
+                    results[i] = _row_result(total[i], err[i], count, True,
+                                             {"levels": m, "rule": "tanh-sinh"})
                 else:
                     still_open.append(i)
             rows = still_open
 
     for i in rows:
-        results[i] = _row_result(total[i], err[i], count, False, levels_done)
+        results[i] = _row_result(total[i], err[i], count, False,
+                                 {"levels": levels_done, "rule": "tanh-sinh"})
     return results
 
 
-def _row_result(total, err, count: int, converged: bool, levels: int) -> IntegralResult:
+def _row_result(total, err, count: int, converged: bool, meta: dict) -> IntegralResult:
     return IntegralResult(
         value=_as_python_number(total),
         error_estimate=float(err) if math.isfinite(err) else float("inf"),
         evaluations=count,
         converged=converged,
-        meta={"levels": levels, "rule": "tanh-sinh"},
+        meta=meta,
     )
 
 
@@ -355,63 +360,128 @@ def integrate_vertical_line(g, mb: MellinBarnesSpec) -> IntegralResult:
     around the line and small at t = +-T; if |g| at the endpoints exceeds
     the absolute tolerance a TailNotNegligible error is raised.  The value
     is returned with its imaginary part intact so callers can assert
-    realness where symmetry demands it.
+    realness where symmetry demands it.  In double precision this is the
+    one-row case of ``integrate_vertical_line_rows``.
+    """
+    spec = mb.quad
+    gv = _VecCall(g)
+    if spec.precision == "double":
+        [r] = integrate_vertical_line_rows(lambda s, rows: gv(s)[None, :], mb, [spec.abs_tol])
+        if isinstance(r, TailNotNegligible):
+            raise r
+        return r
+    import mpmath as mp
+
+    gam = float(mb.gamma_abscissa)
+    T = float(mb.tail_cutoff)
+    tail = float(np.abs(gv(gam + 1j * np.array([-T, T]))).max())
+    if tail > spec.abs_tol:
+        raise _tail_error(tail, spec.abs_tol)
+    return _integrate_mp(lambda t: g(mp.mpf(gam) + 1j * t), -T, T, spec,
+                         "trapezoid-line", {"gamma": gam, "tail_cutoff": T},
+                         over_two_pi=True)
+
+
+def _tail_error(tail: float, abs_tol: float) -> TailNotNegligible:
+    return TailNotNegligible(
+        f"|g| at the contour ends is {tail:.3e} > abs_tol={abs_tol:.1e}; increase tail_cutoff")
+
+
+# Most complex entries (rows x nodes) the row-wise line rule asks its
+# integrand family for at once: 2^16 entries are 1 MB.
+_LINE_BLOCK = 1 << 16
+
+
+def _row_blocks(G, s: np.ndarray, rows: list):
+    """(block of rows, their values at s) from G, at most _LINE_BLOCK entries per call.
+
+    Blocks are C-ordered, so a block's row sums are those of each row
+    alone.  A row longer than _LINE_BLOCK is assembled from node chunks.
+    """
+    if s.size <= _LINE_BLOCK:
+        step = _LINE_BLOCK // s.size
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            yield block, np.ascontiguousarray(G(s, block))
+    else:
+        for i in rows:
+            yield [i], np.concatenate([G(s[lo:lo + _LINE_BLOCK], [i])
+                                       for lo in range(0, s.size, _LINE_BLOCK)], axis=1)
+
+
+def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
+    """Row-wise ``integrate_vertical_line`` on shared trapezoid nodes.
+
+    ``G(s, rows)`` returns an array of shape (len(rows), len(s)): the
+    integrands numbered ``rows`` (positions in ``abs_tols``) at the complex
+    nodes ``s`` of the line.  It is asked only for open rows, and for at
+    most 2^16 entries at a time.  Row i has its own abs_tol
+    ``abs_tols[i]``, tail check, stopping test and evaluation count, and
+    its sums run per row as scalars, so its value, error estimate and meta
+    are exactly those of ``integrate_vertical_line`` on it alone.  A row
+    whose tail fails its check gets, in place of a result, the
+    TailNotNegligible error the one-row rule raises.  rel_tol,
+    max_refinements and max_evals come from ``mb.quad`` and are shared;
+    double precision only.
     """
     spec = mb.quad
     gam = float(mb.gamma_abscissa)
     T = float(mb.tail_cutoff)
-    fv = _VecCall(lambda t: g(gam + 1j * np.asarray(t)))
+    tols = [float(t) for t in abs_tols]
+    results: list = [None] * len(tols)
+    tails = [0.0] * len(tols)
+    rows = []
+    for block, vals in _row_blocks(G, gam + 1j * np.array([-T, T]), list(range(len(tols)))):
+        for i, v in zip(block, vals):
+            tails[i] = float(np.abs(v).max())
+            if tails[i] > tols[i]:
+                results[i] = _tail_error(tails[i], tols[i])
+            else:
+                rows.append(i)
+    count = 2
+    total: list = [None] * len(tols)
+    err = [math.inf] * len(tols)
 
-    gtail = np.abs(fv(np.array([-T, T])))
-    if float(gtail.max()) > spec.abs_tol:
-        raise TailNotNegligible(
-            f"|g| at the contour ends is {float(gtail.max()):.3e} > abs_tol={spec.abs_tol:.1e}; "
-            "increase tail_cutoff"
-        )
-    if spec.precision == "extended":
-        import mpmath as mp
+    def done(i: int, converged: bool) -> IntegralResult:
+        return _row_result(total[i], err[i], count, converged,
+                           {"rule": "trapezoid-line", "gamma": gam, "tail_cutoff": T,
+                            "tail_magnitude": tails[i]})
 
-        return _integrate_mp(lambda t: g(mp.mpf(gam) + 1j * t), -T, T, spec,
-                             "trapezoid-line", {"gamma": gam, "tail_cutoff": T},
-                             over_two_pi=True)
-
-    h0 = 0.5
-    n0 = int(math.ceil(T / h0))
+    n0 = int(math.ceil(T / 0.5))
     h0 = T / n0  # land nodes exactly on +-T
-    total = None
-    err = math.inf
-    converged = False
     for m in range(0, spec.max_refinements + 1):
+        if not rows:
+            break
         h = h0 * 0.5 ** m
         if m == 0:
-            k = np.arange(-n0, n0 + 1)
-            t = k * h0
-            vals = fv(t)
+            t = np.arange(-n0, n0 + 1) * h0
             w = np.ones(t.size)
             w[0] = w[-1] = 0.5
-            total = h * np.sum(w * vals) / (2.0 * math.pi)
         else:
             n = int(round(T / h))
-            k = np.arange(-n + 1, n, 2)
-            t = k * h
-            if fv.count + t.size > spec.max_evals:
+            t = np.arange(-n + 1, n, 2) * h
+            if count + t.size > spec.max_evals:
                 break
-            vals = fv(t)
-            prev_total = total
-            total = 0.5 * total + h * np.sum(vals) / (2.0 * math.pi)
-            err = abs(total - prev_total)
-        if m >= 2 and err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            converged = True
-            break
-
-    return IntegralResult(
-        value=_as_python_number(total),
-        error_estimate=float(err) if math.isfinite(err) else float("inf"),
-        evaluations=fv.count,
-        converged=converged,
-        meta={"rule": "trapezoid-line", "gamma": gam, "tail_cutoff": T,
-              "tail_magnitude": float(gtail.max())},
-    )
+        for block, vals in _row_blocks(G, gam + 1j * t, rows):
+            for i, part in zip(block, (w * vals if m == 0 else vals).sum(axis=1)):
+                if m == 0:
+                    total[i] = h * part / (2.0 * math.pi)
+                else:
+                    prev_total = total[i]
+                    total[i] = 0.5 * prev_total + h * part / (2.0 * math.pi)
+                    err[i] = abs(total[i] - prev_total)
+        count += t.size
+        if m >= 2:
+            still_open = []
+            for i in rows:
+                if err[i] <= max(tols[i], spec.rel_tol * abs(total[i])):
+                    results[i] = done(i, True)
+                else:
+                    still_open.append(i)
+            rows = still_open
+    for i in rows:
+        results[i] = done(i, False)
+    return results
 
 
 def _as_python_number(v):

@@ -26,6 +26,7 @@ from .errors import (
     NonConvergence,
     OrderError,
     PoleError,
+    PrecisionBudgetExceeded,
     RealnessViolation,
     TailNotNegligible,
 )
@@ -37,7 +38,7 @@ from .quad import (
     _TS_W0,
     integrate_finite,
     integrate_semi_infinite,
-    integrate_vertical_line,
+    integrate_vertical_line_rows,
 )
 
 __all__ = [
@@ -341,6 +342,9 @@ _SQRT_PI = math.sqrt(math.pi)
 # accurate.  For larger |z| or alpha its alternating terms cancel.
 _CYL_SERIES_RADIUS = 0.5
 _CYL_SERIES_ALPHA_MAX = 3.0
+# Below this alpha the quadrature stalls on the s^(alpha-1) endpoint
+# singularity; for z > 1/2 the order recurrence replaces it.
+_CYL_RECURRENCE_ALPHA = 0.1
 
 
 def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
@@ -350,6 +354,8 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     s^(alpha-1) e^{-s^2/2 - z s} over s > 0 (DLMF 12.5.1).  For
     |z| <= 1/2 and alpha <= 3 it is summed from the Maclaurin series of
     that integral in z, to full double precision whatever `rel_tol`.
+    For z > 1/2 and alpha < 0.1 it is z D(alpha+1) + (alpha+1) D(alpha+2)
+    in this notation (DLMF 12.8.1), two positive terms with no cancellation.
     Every other point goes through a per-point truncated and rescaled
     unit interval, so a single tanh-sinh grid serves all of them at once;
     the scaling keeps everything inside double range for all z >= 0 and
@@ -371,8 +377,15 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
         zn = z[near]
         w = zn * zn
         vals[near] = np.polyval(even, w) + zn * np.polyval(odd, w)
-    if not near.all():
-        vals[~near] = _cyl_quadrature(alpha, z[~near], rel_tol, _BATCH_MAX_LEVEL)
+    rest = ~near
+    up = rest & (z > _CYL_SERIES_RADIUS) & (alpha < _CYL_RECURRENCE_ALPHA)
+    if up.any():
+        zu = z[up]
+        vals[up] = zu * _cyl_quadrature(alpha + 1.0, zu, rel_tol, _BATCH_MAX_LEVEL) \
+            + (alpha + 1.0) * _cyl_quadrature(alpha + 2.0, zu, rel_tol, _BATCH_MAX_LEVEL)
+        rest &= ~up
+    if rest.any():
+        vals[rest] = _cyl_quadrature(alpha, z[rest], rel_tol, _BATCH_MAX_LEVEL)
     return float(vals[0]) if scalar else vals
 
 
@@ -470,6 +483,10 @@ def parabolic_cylinder_d(nu: float, z: float, quad: QuadSpec = DEFAULT_SPEC) -> 
 # Whittaker W: Mellin-Barnes contour route (default)
 # ---------------------------------------------------------------------------
 
+# Largest exponent whose exp is a finite double.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 class _ContourFactor:
     """Gamma-ratio factor on a fixed vertical contour with node-grid caching.
 
@@ -493,11 +510,13 @@ class _ContourFactor:
         key = s.tobytes() if store else None
         if store and key in self._cache:
             return self._cache[key]
-        vals = np.exp(
-            log_gamma(0.5 + self.rho + s)
-            + log_gamma(0.5 - self.rho + s)
-            - log_gamma(1.0 - self.mu + s)
-        )
+        logs = (log_gamma(0.5 + self.rho + s) + log_gamma(0.5 - self.rho + s)
+                - log_gamma(1.0 - self.mu + s))
+        if logs.real.max() > _LOG_MAX:
+            raise PrecisionBudgetExceeded(
+                f"contour Gamma-factor (mu={self.mu}, rho={self.rho}) overflows double "
+                f"range on the line Re s = {self.gamma}")
+        vals = np.exp(logs)
         if store:
             if len(self._cache) > 48:
                 self._cache.clear()
@@ -562,38 +581,80 @@ def _w_contour_general(mu: float, rho: complex, x: float,
                        quad: QuadSpec = DEFAULT_SPEC) -> float:
     """e^{-x/2} W_{mu, rho}(x) by the vertical-line integral; rho may be
     purely real or purely imaginary (both give a real result)."""
-    if gamma is None:
-        gamma = _auto_gamma(mu, rho, x)
+    return _w_contour_group(mu, rho, _auto_gamma(mu, rho, x) if gamma is None else gamma,
+                            [x], quad)[0]
+
+
+def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
+                    gamma: float | None = None) -> np.ndarray:
+    """``_w_contour_general`` at every x of xs, one line integral per abscissa.
+
+    x enters the integrand only through x^{-s}, so the x that share a
+    contour abscissa (`gamma`, or ``_auto_gamma`` of each x) are the rows of
+    one row-wise line integral on one ``_ContourFactor``.  Each x keeps its
+    own peak, tolerance and checks, so its value equals a one-x call bit
+    for bit; the first x that fails, group by group, raises.
+    """
+    xs = [_positive(x, "whittaker_w_mb")
+          for x in np.asarray(xs, dtype=float).reshape(-1).tolist()]
+    groups: dict[float, list[int]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault(_auto_gamma(mu, rho, x) if gamma is None else gamma, []).append(i)
+    out = np.empty(len(xs))
+    for gam, idx in groups.items():
+        out[idx] = _w_contour_group(mu, rho, gam, [xs[i] for i in idx], quad)
+    return out
+
+
+def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: QuadSpec) -> list:
     cf = _contour_factor(mu, rho, gamma)
     T = cf.tail_cutoff()
-    lnx = math.log(x)
-    peak = cf.peak() * math.exp(-gamma * lnx)
-
+    lns = [math.log(x) for x in xs]
+    log_p0 = math.log(cf.peak()) if cf.peak() > 0.0 else -math.inf
+    peaks = []
+    for x, ln in zip(xs, lns):
+        # |x^{-s}| = x^{-gamma} on the line: it and the integrand peak must
+        # stay in double range before either is exponentiated
+        log_peak = log_p0 - gamma * ln
+        if max(log_peak, -gamma * ln) > _LOG_MAX:
+            raise PrecisionBudgetExceeded(
+                f"contour integrand for W at x={x} peaks at e^{log_peak:.0f}, "
+                f"beyond double range")
+        peaks.append(cf.peak() * math.exp(-gamma * ln))
     line_spec = QuadSpec(
-        abs_tol=max(peak * 1e-14, 1e-300),
         rel_tol=max(quad.rel_tol, 1e-12),
         max_refinements=max(quad.max_refinements, 12),
         max_evals=quad.max_evals,
     )
     mb = MellinBarnesSpec(gamma_abscissa=gamma, tail_cutoff=T, quad=line_spec)
 
-    def g(s):
-        return cf.factor(s) * np.exp(-s * lnx)
+    # complex, as -s * log(x) converts a float log(x)
+    lnx = np.array(lns, dtype=complex)[:, None]
 
-    r = integrate_vertical_line(g, mb)
-    if not r.converged:
-        raise NonConvergence(
-            f"contour integral for W at x={x} stalled at error {r.error_estimate:.2e}"
-        )
-    v = complex(r.value)
-    # near a zero of the small-x oscillation |Re| drops far below the contour
-    # scale; the imaginary roundoff floor is set by `peak`, not by the value
-    if abs(v.imag) > max(1e-8 * abs(v.real), 1e-12 * peak, 1e-300):
-        raise RealnessViolation(
-            f"contour route returned imaginary part {v.imag:.3e} against real part "
-            f"{v.real:.3e}; contour or precision bug"
-        )
-    return v.real
+    def G(s, rows):
+        # factor(s) * x^{-s}, built in one buffer
+        e = np.multiply(-s, lnx.take(rows, axis=0))
+        return np.multiply(cf.factor(s), np.exp(e, out=e), out=e)
+
+    rs = integrate_vertical_line_rows(G, mb, [max(p * 1e-14, 1e-300) for p in peaks])
+    vals = []
+    for x, peak, r in zip(xs, peaks, rs):
+        if isinstance(r, TailNotNegligible):
+            raise r
+        if not r.converged:
+            raise NonConvergence(
+                f"contour integral for W at x={x} stalled at error {r.error_estimate:.2e}"
+            )
+        v = complex(r.value)
+        # near a zero of the small-x oscillation |Re| drops far below the contour
+        # scale; the imaginary roundoff floor is set by `peak`, not by the value
+        if abs(v.imag) > max(1e-8 * abs(v.real), 1e-12 * peak, 1e-300):
+            raise RealnessViolation(
+                f"contour route returned imaginary part {v.imag:.3e} against real part "
+                f"{v.real:.3e}; contour or precision bug"
+            )
+        vals.append(v.real)
+    return vals
 
 
 def _w_mb_extended(mu: float, rho: complex, x: float, gamma: float | None,

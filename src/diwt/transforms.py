@@ -48,7 +48,8 @@ from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
 from .specfun import WhittakerOrder, _order_below_half, _positive, _positive_index, \
-    _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled, whittaker_w_mb
+    _w_contour_many, _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled, \
+    whittaker_w_mb
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +197,15 @@ class ForwardHandle(FunctionHandle):
         anycomplex = any(isinstance(a, complex) for a in self.seq.values)
         out = np.zeros(arr.shape, dtype=complex if anycomplex else float)
         flat = out.reshape(-1)
-        for i, t in enumerate(arr.reshape(-1)):
-            acc = 0.0
-            for m, a in enumerate(self.seq.values, 1):
-                if a:
-                    acc += a * whittaker_w_mb(WhittakerOrder(self.mu, m), float(t),
-                                              quad=quad, scaled=True)
-            flat[i] = acc
+        terms = [(m, a) for m, a in enumerate(self.seq.values, 1) if a]
+        if quad.precision == "extended":
+            # mpmath evaluates one x at a time
+            for i, t in enumerate(arr.reshape(-1).tolist()):
+                flat[i] = sum(a * whittaker_w_mb(WhittakerOrder(self.mu, m), t, quad=quad,
+                                                 scaled=True) for m, a in terms)
+        else:
+            for m, a in terms:
+                flat += a * _w_contour_many(self.mu, complex(0.0, m), arr, quad)
         return out[()] if out.shape == () else out
 
     def _eval_mp(self, t, dps: int):
@@ -410,8 +413,9 @@ def _pieces(f: FunctionHandle):
 def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
     """One (value, error) per row of int_0^inf H(t, rows) t^p dt (module docstring).
 
-    H(t, rows) gives the open rows of the integrand family at one node t
-    (see ``integrate_finite_rows``); row i runs to abs_tol ``tols[i]``.
+    H(ts, rows) gives the open rows of the integrand family at all new
+    nodes ts of a level, shape (len(rows), len(ts)) as in
+    ``integrate_finite_rows``; row i runs to abs_tol ``tols[i]``.
     """
     if isinstance(f, SampledHandle):
         # the interpolant's model error dwarfs quadrature error regardless
@@ -430,11 +434,9 @@ def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
         origin, length = piece
 
         def G(xs, rows, origin=origin, node=node, q=q):
-            cols = []
-            for x in xs.tolist():
-                t = node(origin, x)
-                cols.append(H(t, rows) * t ** q)
-            return np.stack(cols, axis=1)
+            # nodes and powers from Python floats, as a one-node call forms them
+            ts = [node(origin, x) for x in xs.tolist()]
+            return H(np.array(ts), rows) * np.array([t ** q for t in ts])
 
         if length == math.inf:
             rs = integrate_semi_infinite_rows(G, decay, tols, spec)
@@ -480,7 +482,7 @@ def _half_line_mp(H, p: float, f: FunctionHandle, quad: QuadSpec, name: str):
 def _coarse_mass(f: FunctionHandle) -> float:
     """Loose estimate of int |f(t)| t^{-3/2} dt for kernel-error propagation."""
     mspec = QuadSpec(abs_tol=1e-3, rel_tol=1e-2, max_refinements=7)
-    [(mass, _)] = _half_line(lambda t, rows: np.array([abs(f(t))]), -1.5, f,
+    [(mass, _)] = _half_line(lambda ts, rows: np.abs(f(ts))[None, :], -1.5, f,
                              [mspec.abs_tol], mspec, "mass estimate")
     # 1.5 slack on a coarse estimate plus a unit floor
     return 1.5 * mass + 1.0
@@ -551,15 +553,18 @@ def _invert(kind: KernelKind, mu: float, f: FunctionHandle, ns,
 
     kerr_seen = [0.0] * len(ns)
 
-    # one f value and one kernel column (every open n) per node; a row's
-    # kernel errors count only at the nodes its own integral visits
-    def H(t: float, rows):
-        col = _kernel_eval_many(kind, mu, [ns[i] for i in rows], t, [kspecs[i] for i in rows])
-        for i, (_, e, _) in zip(rows, col):
-            if e > kerr_seen[i]:
-                kerr_seen[i] = e
-        kernel = np.array([float(np.real(v)) for v, _, _ in col])
-        return kernel * f(t, fspec)
+    # one f call per level, and one kernel column (every open n) per node;
+    # a row's kernel errors count only at the nodes its own integral visits
+    def H(ts, rows):
+        kernel = []
+        for t in ts.tolist():
+            col = _kernel_eval_many(kind, mu, [ns[i] for i in rows], t,
+                                    [kspecs[i] for i in rows])
+            for i, (_, e, _) in zip(rows, col):
+                if e > kerr_seen[i]:
+                    kerr_seen[i] = e
+            kernel.append([float(np.real(v)) for v, _, _ in col])
+        return np.array(kernel).T * f(ts, fspec)
 
     sums = _half_line(H, -1.5, f, outer_tols, ospec, "inversion integral")
     mass = _coarse_mass(f)
@@ -643,24 +648,23 @@ def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
     ns = _indices(f, ns)
     if f.is_zero or not ns:
         return [0.0 for _ in ns]
-    orders = [WhittakerOrder(mu, 0.5 * n) for n in ns]
     pspec = quad if quad.precision == "double" else DEFAULT_SPEC
 
-    # t^{mu-2} stays in the row function: folded into p it moves the
-    # values in the last bit
-    def H(t: float, rows):
-        w = np.array([whittaker_w_mb(orders[i], t, quad=pspec, scaled=True) for i in rows])
-        return w * f(t, pspec) * t ** (mu - 2.0)
+    # one many-x W call per open index; t^{mu-2} stays in the row function:
+    # folded into p it moves the values in the last bit
+    def H(ts, rows):
+        w = np.array([_w_contour_many(mu, complex(0.0, 0.5 * ns[i]), ts, pspec) for i in rows])
+        return w * f(ts, pspec) * np.array([t ** (mu - 2.0) for t in ts.tolist()])
 
     # decay probe at 0: t * integrand should fade as t -> 0; max over a few
     # points per decade so an oscillation zero cannot mask growth
     lo = max(getattr(f, "support_start", 0.0), 1e-7)
-    every = range(len(ns))
-    near = [abs(H(lo * c, every)) * lo * c for c in (1.0, 2.2, 4.7)]
-    far = [abs(H(1e-3 * c, every)) * 1e-3 * c for c in (1.0, 2.2, 4.7)]
+    every = list(range(len(ns)))
+    ts = np.array([lo * c for c in (1.0, 2.2, 4.7)] + [1e-3 * c for c in (1.0, 2.2, 4.7)])
+    mass = np.abs(H(ts, every)) * ts
     for i in every:
-        near_i = max(p[i] for p in near)
-        far_i = max(p[i] for p in far)
+        near_i = float(mass[i, :3].max())
+        far_i = float(mass[i, 3:].max())
         if near_i > 0.5 * far_i and near_i > 10.0 * quad.abs_tol:
             warnings.warn(
                 f"integrand mass near 0 is not fading (|t g(t)| {far_i:.2e} -> "

@@ -33,6 +33,18 @@ def test_cylinder_cos_reduces_to_erfc_form(n, x):
     assert abs(a.real - b) < 1e-10 * max(abs(b), 1e-6)
 
 
+def test_cylinder_cos_kernel_near_half_order():
+    # mu = 0.495 puts the profile at alpha = 0.01, where the cylinder
+    # quadrature stalled; the tanh-sinh estimate (~1e-18) leaves out the
+    # ~5e-16 roundoff of the result, so the check is the tolerance the
+    # kernel reports convergence to
+    spec = QuadSpec()
+    v, err = kernels._kernel_value(KernelKind.CYLINDER_COS, 0.495, 1, 1.0, spec)
+    want = float(kernels._kernel_eval_mp(KernelKind.CYLINDER_COS, 0.495, 1.0, 1.0, 30))
+    assert cylinder_cos_kernel(0.495, 1, 1.0) == v
+    assert abs(v - want) <= max(err, spec.abs_tol, spec.rel_tol * abs(v))
+
+
 def test_cylinder_cos_positive_at_zero_index():
     v = cylinder_cos_kernel(0.25, 0, 1.0)
     assert v.real > 0.0

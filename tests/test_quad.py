@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sp
 
 from diwt.errors import InvalidDecayScale, InvalidInterval, TailNotNegligible
+from diwt import quad
 from diwt.quad import (
     DEFAULT_SPEC,
     IntegralResult,
@@ -18,6 +19,7 @@ from diwt.quad import (
     integrate_semi_infinite,
     integrate_semi_infinite_rows,
     integrate_vertical_line,
+    integrate_vertical_line_rows,
 )
 
 
@@ -280,6 +282,70 @@ def test_tail_not_negligible_raises():
     mb = MellinBarnesSpec(gamma_abscissa=1.0, tail_cutoff=5.0)
     with pytest.raises(TailNotNegligible):
         integrate_vertical_line(lambda s: np.ones_like(s), mb)
+
+
+# Gamma(s - d) on Re s = 1 has a pole at distance 1 - d from the line: at
+# d = 0.7 the rows close at levels 2, 3 and 4 (643, 1283, 2563 nodes), at
+# d = 0.9 the budget ends the row after level 4; the last row's tail at
+# |t| = 40 is 6e-4 and is refused
+LINE_FUNCS = (
+    lambda s: sp.gamma(s - 0.7),
+    lambda s: sp.gamma(s - 0.7),
+    lambda s: sp.gamma(s - 0.7),
+    lambda s: sp.gamma(s - 0.9),
+    lambda s: 1.0 / (1.0 + (s - 1.0) ** 2),
+)
+LINE_TOLS = (1e-3, 1e-6, 1e-9, 1e-9, 1e-9)
+LINE_MB = MellinBarnesSpec(1.0, 40.0, QuadSpec(rel_tol=1e-15, max_evals=3000))
+
+
+def _line_alone(g, tol):
+    return integrate_vertical_line(g, replace(LINE_MB, quad=replace(LINE_MB.quad, abs_tol=tol)))
+
+
+def test_line_rows_equal_single_row_integrals():
+    asked = []
+    rows = integrate_vertical_line_rows(_family(LINE_FUNCS, asked), LINE_MB, LINE_TOLS)
+    for g, tol, r in zip(LINE_FUNCS[:4], LINE_TOLS, rows):
+        _same_result(r, _line_alone(g, tol))
+    assert [r.evaluations for r in rows[:4]] == [643, 1283, 2563, 2563]
+    assert [r.converged for r in rows[:4]] == [True, True, True, False]
+    # the refused row holds the error its one-row integral raises, and G
+    # is not asked for it after the tail check
+    assert isinstance(rows[4], TailNotNegligible)
+    with pytest.raises(TailNotNegligible) as alone:
+        _line_alone(LINE_FUNCS[4], LINE_TOLS[4])
+    assert str(alone.value) == str(rows[4])
+    assert all(4 not in a for a in asked[1:])
+
+
+def test_line_rows_blocks_stay_under_cap(monkeypatch):
+    # 300 rows of Gamma(s) x^-s exceed 2^16 entries from level 2 (320 new
+    # nodes) on; each block is one G call
+    lnx = np.log(np.linspace(0.5, 3.0, 300))
+    mb = MellinBarnesSpec(1.0, 40.0)
+
+    def run():
+        sizes = []
+
+        def G(s, rows):
+            sizes.append(len(rows) * s.size)
+            return sp.gamma(s) * np.exp(-s * lnx[rows, None])
+
+        return integrate_vertical_line_rows(G, mb, [1e-12] * lnx.size), sizes
+
+    wide, sizes = run()
+    assert quad._LINE_BLOCK == 2 ** 16
+    assert max(sizes) <= 2 ** 16 < sum(sizes)
+    assert all(r.converged for r in wide)
+    # a cap below one row's nodes splits the nodes too; nothing else changes
+    monkeypatch.setattr(quad, "_LINE_BLOCK", 100)
+    narrow, sizes = run()
+    assert max(sizes) <= 100
+    for a, b in zip(wide, narrow):
+        _same_result(a, b)
+    _same_result(wide[7], integrate_vertical_line(lambda s: sp.gamma(s) * np.exp(-s * lnx[7]),
+                                                  replace(mb, quad=replace(mb.quad, abs_tol=1e-12))))
 
 
 def test_line_imaginary_part_reported():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from diwt.errors import DomainError, OrderError, PoleError
+from diwt.errors import DomainError, OrderError, PoleError, PrecisionBudgetExceeded
 from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line
 from diwt.specfun import (
     ComplexIndex,
@@ -292,6 +292,20 @@ def test_cylinder_scaled_accuracy_grid(alpha):
         assert np.max(got[near]) < 5e-15
 
 
+@pytest.mark.parametrize("alpha", (0.001, 0.01, 0.02, 0.05, 0.1))
+def test_cylinder_scaled_small_alpha(alpha):
+    # below alpha = 0.1 the order recurrence serves z > 1/2, where the
+    # quadrature stalls for alpha <= 0.05; 0.1 is the quadrature's edge
+    import mpmath as mp
+
+    z = np.concatenate([np.linspace(0.51, 3.0, 26), np.geomspace(3.2, 100.0, 25)])
+    with mp.workdps(30):
+        ref = np.array([float(mp.exp(mp.mpf(zi) ** 2 / 4) * mp.pcfd(-alpha, mp.mpf(zi)))
+                        for zi in z])
+    got = parabolic_cylinder_d_scaled(alpha, z, rel_tol=1e-15)
+    assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+
 @pytest.mark.parametrize("alpha", (0.25, 1.0, 2.0, 3.0))
 def test_cylinder_scaled_continuous_at_series_edge(alpha):
     # 0.5 is summed by the series, the next double out by the quadrature
@@ -321,6 +335,23 @@ def test_w_contour_large_tau(tau):
         got = whittaker_w_mb(WhittakerOrder(0.0, tau), x)
         want = mp.sqrt(mp.mpf(x) / mp.pi) * mp.re(mp.besselk(1j * tau, mp.mpf(x) / 2))
         assert abs(got / float(want) - 1.0) <= 1e-11
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [0.0, 0.25, 2.0])
+@pytest.mark.parametrize("x", [400.0, 1000.0])
+def test_w_contour_beyond_double_range_refused(mu, x):
+    # the Gamma-factor peak at gamma = round(x/2) is e^860 and more; it
+    # overflowed and escaped as a ValueError from QuadSpec
+    with pytest.raises(PrecisionBudgetExceeded):
+        whittaker_w_mb(WhittakerOrder(mu, 1.0), x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_w_contour_x_power_beyond_double_range_refused():
+    # |x^{-s}| = x^{-gamma} = e^921 on this line; math.exp raised OverflowError
+    with pytest.raises(PrecisionBudgetExceeded):
+        whittaker_w_mb(WhittakerOrder(0.0, 1.0), 0.01, gamma=200.0)
 
 
 def test_w_reduces_to_k_route_bessel():

@@ -221,6 +221,25 @@ class TestForwardSeries:
         assert vec[0] == pytest.approx(h(0.7), rel=1e-14)
         assert vec[1] == pytest.approx(h(1.4), rel=1e-14)
 
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.5, -0.25), (1.0, 0.5j, -0.25 + 0.1j)])
+    def test_array_call_equals_per_element_calls(self, coeffs):
+        # x in every contour-abscissa group: below 0.05, [0.05, 4), and
+        # gamma = round(x/2) = 2, 3, 4, 5, 7, 15 from x = 4 on
+        mu = 0.25
+        h = ForwardHandle(CoefficientSeq(coeffs), mu)
+        xs = np.array([[0.001, 0.03, 0.05, 0.7], [3.9, 4.0, 5.2, 9.0],
+                       [13.7, 30.0, 0.2, 2.5], [7.1, 9.4, 0.049, 6.2]])
+        got = h(xs)
+        assert got.shape == xs.shape
+        assert got.dtype == (complex if isinstance(coeffs[1], complex) else float)
+        one = np.array([h(float(x)) for x in xs.ravel()], dtype=got.dtype)
+        assert got.tobytes() == one.tobytes()
+        # a one-element call sums the public one-x evaluator, term by term
+        for x, v in zip(xs.ravel().tolist(), one.tolist()):
+            terms = [a * whittaker_w_mb(WhittakerOrder(mu, m), x, scaled=True)
+                     for m, a in enumerate(coeffs, 1)]
+            assert v == terms[0] + terms[1] + terms[2]
+
 
 # ---------------------------------------------------------------------------
 # inversion round trip
