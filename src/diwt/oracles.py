@@ -11,6 +11,7 @@ per check id, so a (seed, selection) pair reproduces every draw.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import kv as _real_order_k
@@ -348,31 +349,28 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     v_out = min(max(-math.log(outer_tol / 3.0), 16.0), 26.0)
     # the inner Laplace transform is evaluated on intervals that do not
     # depend on the outer abscissa, so the expensive forward-series
-    # values land on identical nodes and can be memoized
+    # values land on identical nodes and can be memoized, keyed on t: the
+    # nodes crowding either end of t = 1 round to the same t
     v_in_cut = 2.0 * v_out + 2.0 * math.log(2.0) + 8.0
     s_in_cut = 80.0
     fspec = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_refinements=12)
-    low_cache: dict = {}
-    high_cache: dict = {}
     inner_spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-9, max_refinements=10,
                           max_evals=quad.max_evals)
 
+    @cache
+    def f_at(t: float) -> float:
+        return float(np.real(f(t, fspec)))
+
     def f_low(v: float) -> float:
-        y = low_cache.get(v)
-        if y is None:
-            t = math.exp(-v)
-            y = float(np.real(f(t, fspec))) * t ** (mu - 1.0)
-            low_cache[v] = y
-        return y
+        t = math.exp(-v)
+        return f_at(t) * t ** (mu - 1.0)
 
     def f_high(s: float) -> float:
-        y = high_cache.get(s)
-        if y is None:
-            t = 1.0 + s
-            y = float(np.real(f(t, fspec))) * t ** (mu - 2.0)
-            high_cache[s] = y
-        return y
+        t = 1.0 + s
+        return f_at(t) * t ** (mu - 2.0)
 
+    # the outer abscissae crowding x = 1 round to one x as well
+    @cache
     def laplace_of_f(x: float) -> float:
         xx = 0.25 * x * x
 

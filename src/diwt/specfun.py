@@ -483,8 +483,9 @@ def parabolic_cylinder_d(nu: float, z: float, quad: QuadSpec = DEFAULT_SPEC) -> 
 # Whittaker W: Mellin-Barnes contour route (default)
 # ---------------------------------------------------------------------------
 
-# Largest exponent whose exp is a finite double.
+# Largest exponent whose exp is a finite double, smallest whose exp is normal.
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class _ContourFactor:
@@ -614,12 +615,17 @@ def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: Quad
     peaks = []
     for x, ln in zip(xs, lns):
         # |x^{-s}| = x^{-gamma} on the line: it and the integrand peak must
-        # stay in double range before either is exponentiated
+        # stay in double range before either is exponentiated, and x^{-s}
+        # must not underflow, or every node of the integrand reads 0
         log_peak = log_p0 - gamma * ln
         if max(log_peak, -gamma * ln) > _LOG_MAX:
             raise PrecisionBudgetExceeded(
                 f"contour integrand for W at x={x} peaks at e^{log_peak:.0f}, "
                 f"beyond double range")
+        if -gamma * ln < _LOG_TINY:
+            raise PrecisionBudgetExceeded(
+                f"|x^-s| = e^{-gamma * ln:.0f} on the contour for W at x={x} "
+                f"underflows double range")
         peaks.append(cf.peak() * math.exp(-gamma * ln))
     line_spec = QuadSpec(
         rel_tol=max(quad.rel_tol, 1e-12),

@@ -14,7 +14,10 @@ and one half-line rule serves them.  The (0, 1] piece runs in v = -log t,
 where the logarithmic small-t oscillation of f becomes linear, and the
 [1, inf) piece in s = t - 1.  Each piece is clipped to the handle's
 support, so the jumps of a zero extension sit at interval ends, which the
-tanh-sinh rule approaches but never evaluates.  An unbounded piece is
+tanh-sinh rule approaches but never evaluates.  Its nodes crowd those ends
+so closely that many round to the same t, above all to t = 1, so the
+integrand family is evaluated once per distinct t of a refinement level
+and every node takes the value of its t.  An unbounded piece is
 truncated by its decay: e^{-v/2} on (0, 1], the handle's decay scale on
 [1, inf); in extended precision, where that decay falls below 10^-dps.
 Sampled handles run at relative tolerance 1e-8 and at most 9 levels,
@@ -434,9 +437,13 @@ def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
         origin, length = piece
 
         def G(xs, rows, origin=origin, node=node, q=q):
-            # nodes and powers from Python floats, as a one-node call forms them
+            # nodes and powers from Python floats, as a one-node call forms them;
+            # the nodes crowding a piece's ends round to one t, and H sees each
+            # distinct t once
             ts = [node(origin, x) for x in xs.tolist()]
-            return H(np.array(ts), rows) * np.array([t ** q for t in ts])
+            first = {}
+            at = [first.setdefault(t, len(first)) for t in ts]
+            return H(np.array(list(first)), rows)[:, at] * np.array([t ** q for t in ts])
 
         if length == math.inf:
             rs = integrate_semi_infinite_rows(G, decay, tols, spec)

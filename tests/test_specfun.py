@@ -348,6 +348,19 @@ def test_w_contour_beyond_double_range_refused(mu, x):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [0.0, 0.25, 2.0])
+@pytest.mark.parametrize("x", [270.0, 300.0])
+def test_w_contour_x_power_underflow_refused(mu, x):
+    # |x^{-s}| = x^{-gamma} is e^-756 at x = 270 and e^-856 at x = 300 on the
+    # line gamma = round(x/2); it underflowed to 0 at every node, and W read 0.0
+    with pytest.raises(PrecisionBudgetExceeded):
+        whittaker_w_mb(WhittakerOrder(mu, 1.0), x, scaled=True)
+    # at x = 250, x^{-gamma} = e^-690 stays a normal double and a value comes
+    # back; it is still inaccurate, as the abscissa is not at the saddle
+    assert math.isfinite(whittaker_w_mb(WhittakerOrder(mu, 1.0), 250.0, scaled=True))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_w_contour_x_power_beyond_double_range_refused():
     # |x^{-s}| = x^{-gamma} = e^921 on this line; math.exp raised OverflowError
     with pytest.raises(PrecisionBudgetExceeded):

@@ -8,16 +8,20 @@ in test_acceptance; here each path gets a representative point plus its
 edge cases, so indexing or normalization mistakes fail fast.
 """
 
+import collections
 import contextlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from diwt import transforms
 from diwt.errors import (DomainError, IntegrabilityWarning, NonConvergence,
                          OrderError, PrecisionBudgetExceeded)
-from diwt.quad import DEFAULT_SPEC, QuadSpec, integrate_finite
+from diwt.quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
+    integrate_semi_infinite_rows
 from diwt.kernels import cylinder_cos_kernel
 from diwt.specfun import WhittakerOrder, bessel_k_imag, whittaker_w_bessel, whittaker_w_mb
 from diwt.transforms import (CoefficientSeq, ForwardHandle, FourierPolynomial,
@@ -420,6 +424,94 @@ class TestSupportClipping:
                                    * t ** -1.5, knots)
         want = pref * r.meta["amplification"] * integral
         assert abs(r.value - want) <= r.error_bound
+
+
+def _per_node_half_line(H, p, f, tols, spec, mapped):
+    """The half-line rule with one H call per mapped node, repeats included.
+
+    Every node t it maps is appended to `mapped`.
+    """
+    if isinstance(f, SampledHandle):
+        tols = [max(t, 1e-12) for t in tols]
+        spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-8),
+                       max_refinements=min(spec.max_refinements, 9))
+    low, high = transforms._pieces(f)
+    parts = []
+    for piece, node, q, decay in ((low, lambda v0, v: math.exp(-(v0 + v)), p + 1.0, 2.0),
+                                  (high, lambda t0, s: t0 + s, p, f.decay_scale)):
+        if piece is None:
+            parts.append([(0.0, 0.0)] * len(tols))
+            continue
+        origin, length = piece
+
+        def G(xs, rows, origin=origin, node=node, q=q):
+            ts = [node(origin, x) for x in xs.tolist()]
+            mapped.extend(ts)
+            return np.array([H(np.array([t]), rows)[:, 0] * t ** q for t in ts]).T
+
+        if length == math.inf:
+            rs = integrate_semi_infinite_rows(G, decay, tols, spec)
+        else:
+            rs = integrate_finite_rows(G, 0.0, length, tols, spec)
+        parts.append([(r.value, r.error_estimate) for r in rs])
+    return [(lv + hv, le + he) for (lv, le), (hv, he) in zip(*parts)]
+
+
+class TestOneEvaluationPerNode:
+    # the tanh-sinh nodes crowding an end of a piece round to one t; H
+    # must see each distinct t of a level once, with values unchanged
+
+    @pytest.fixture
+    def half_lines(self, monkeypatch):
+        calls = []
+        real = transforms._half_line
+
+        def spying(H, p, f, tols, spec, name):
+            batches = []
+
+            def spy(ts, rows):
+                batches.append(ts.tolist())
+                return H(ts, rows)
+
+            got = real(spy, p, f, tols, spec, name)
+            mapped = []
+            calls.append((name, batches, mapped, got,
+                          _per_node_half_line(H, p, f, tols, spec, mapped)))
+            return got
+
+        monkeypatch.setattr(transforms, "_half_line", spying)
+        return calls
+
+    @staticmethod
+    def _check(calls, names):
+        """The t that the nodes of the first integral repeat."""
+        assert [c[0] for c in calls] == names
+        for name, batches, mapped, got, want in calls:
+            assert all(len(set(b)) == len(b) for b in batches), name
+            assert {t for b in batches for t in b} == set(mapped), name
+            assert got == want, name
+        mapped = calls[0][2]
+        return {t for t, k in collections.Counter(mapped).items() if k > 1}
+
+    def test_inversion_on_forward_handle(self, half_lines):
+        f = ForwardHandle(CoefficientSeq((1.0, 0.5)), 0.25)
+        invert_many(f, TransformParams(0.25), [1, 2], QuadSpec(abs_tol=1e-6))
+        assert 1.0 in self._check(half_lines, ["inversion integral", "mass estimate"])
+
+    def test_coefficient_transform_on_profile_handle(self, half_lines):
+        f = ProfileHandle(FourierPolynomial(sine_coeffs=(0.7, -0.3)), 0.25)
+        coefficient_transform_many(f, 0.25, [1, 2], QuadSpec(abs_tol=1e-8, rel_tol=1e-6))
+        assert 1.0 in self._check(half_lines, ["coefficient integral"])
+
+    def test_sampled_handle_inside_one_piece(self, half_lines):
+        x = np.linspace(1.5, 4.0, 12)
+        f = SampledHandle(x, x * np.exp(-x) * np.cos(x))
+        with pytest.warns(IntegrabilityWarning):
+            invert_many(f, TransformParams(0.25), [1], QuadSpec(abs_tol=1e-6))
+        repeated = self._check(half_lines, ["inversion integral", "mass estimate"])
+        # the nodes crowding each support end round to one t
+        assert 1.5 in repeated
+        assert max(repeated) == pytest.approx(4.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
