@@ -66,7 +66,6 @@ from .transforms import (
     closed_form_coefficients,
     coefficient_transform_many,
     forward_series,
-    function_from_profile,
     invert_many,
     synthesize_series,
 )
@@ -600,9 +599,9 @@ def _roundtrip_theorem2(cfg: dict, quad: QuadSpec) -> dict:
     coeffs = tuple(closed_form_coefficients(profile, mu, n)
                    for n in range(1, profile.degree + 1))
     seq = CoefficientSeq(coeffs) if any(coeffs) else None
+    wants = ProfileHandle(profile, mu)(np.array(xs), quad).tolist()
     rows = []
-    for x in xs:
-        want = function_from_profile(profile, mu, x, quad)
+    for x, want in zip(xs, wants):
         got = synthesize_series(seq, mu, x, quad).value if seq else 0.0
         err = abs(got - want)
         if want != 0.0:

@@ -25,6 +25,12 @@ for the erfc and sine kernels; one check enforces this for every entry
 point.  ``build_kernel_table(kind, mu, indices, xs)`` evaluates every
 (index, x) pair of a product grid into an immutable table; individual
 failures are recorded per entry instead of aborting the whole build.
+
+Kernels at many x and indices are one row-wise u-integral with a row per
+(x, index) pair, and one profile call per u level for every x still
+open.  Cylinder D stops each point on its own and the row rule sums each
+row alone, so an entry does not depend on the batch that holds it: a
+table row, an inversion level and a one-x call give the same bits.
 """
 
 from __future__ import annotations
@@ -89,36 +95,43 @@ def _inner_rel_tol(quad: QuadSpec) -> float:
 def _kernel_eval(kind: KernelKind, mu: float, nu: complex, x: float,
                  quad: QuadSpec):
     """Dispatch one kernel integral; returns (value, error_estimate, converged)."""
-    return _kernel_eval_many(kind, mu, [nu], x, [quad])[0]
+    return _kernel_eval_many(kind, mu, [nu], [x], [quad])[0][0]
 
 
-def _kernel_eval_many(kind: KernelKind, mu: float, ns, x: float, specs) -> list[tuple]:
-    """Kernel integrals at one x for several indices on shared u nodes.
+def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[tuple]]:
+    """Kernel integrals at several x for several indices on shared u nodes.
 
-    The profile (scaled cylinder function, or scaled erfc for ERFC_COS)
-    does not depend on the index, so it is evaluated once per u level for
-    all indices, and only the trigonometric factor is formed per index.
-    ``specs`` holds one QuadSpec per index; they may differ in abs_tol
-    only.  Returns one (value, error_estimate, converged) per index, equal
-    to what a separate call for that index gives (for a real index mixed
-    with complex ones, up to the last bit; see integrate_finite_rows).
+    The rows of one row-wise u-integral are the (x, index) pairs.  The
+    profile (scaled cylinder function, or scaled erfc for ERFC_COS) does
+    not depend on the index, so each u level makes one profile call on
+    outer(sqrt(2x), cosh u) for the x with an open row, and only the
+    trigonometric factor is formed per index.  ``specs`` holds one
+    QuadSpec per index; they may differ in abs_tol only.  Returns, per x,
+    one (value, error_estimate, converged) per index.
+
+    Cylinder D stops each z point on its own and sums each point along its
+    own nodes, and the row rule sums each row alone, so every entry equals
+    what a call for that x alone gives, bit for bit.  The rows are complex
+    whenever one index is (a real index mixed with complex ones can then
+    differ from its own call in the last bit; see integrate_finite_rows).
     """
     ns = [complex(nu) for nu in ns]
+    xs = np.asarray(xs, dtype=float).reshape(-1)
     quad = specs[0]
     if any(replace(s, abs_tol=quad.abs_tol) != quad for s in specs):
         raise ValueError("kernel specs for shared nodes may differ in abs_tol only")
     if quad.precision == "extended":
-        return [(_kernel_eval_mp(kind, mu, nu, x, quad.dps), 10.0 ** (-quad.dps + 2), True)
-                for nu in ns]
+        return [[(_kernel_eval_mp(kind, mu, nu, x, quad.dps), 10.0 ** (-quad.dps + 2), True)
+                 for nu in ns] for x in xs.tolist()]
 
-    root2x = math.sqrt(2.0 * x)
-    rootx = math.sqrt(x)
+    root2x = np.sqrt(2.0 * xs)
+    rootx = np.sqrt(xs)
     inner = _inner_rel_tol(quad)
 
     if kind is KernelKind.ERFC_COS:
 
-        def profile(u):
-            return erfcx(rootx * np.cosh(u))
+        def profile(at, u):
+            return erfcx(np.multiply.outer(rootx[at], np.cosh(u)))
 
         def wave(nu, u):
             return np.cos(2.0 * nu.real * u)
@@ -126,8 +139,9 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, x: float, specs) -> list[
     elif kind is KernelKind.CYLINDER_COS:
         alpha = 1.0 - 2.0 * mu
 
-        def profile(u):
-            return parabolic_cylinder_d_scaled(alpha, root2x * np.cosh(u), rel_tol=inner)
+        def profile(at, u):
+            return parabolic_cylinder_d_scaled(
+                alpha, np.multiply.outer(root2x[at], np.cosh(u)), rel_tol=inner)
 
         def wave(nu, u):
             return np.cos(2.0 * (nu.real if nu.imag == 0.0 else nu) * u)
@@ -135,21 +149,30 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, x: float, specs) -> list[
     else:
         alpha = 2.0 - 2.0 * mu
 
-        def profile(u):
+        def profile(at, u):
             return parabolic_cylinder_d_scaled(
-                alpha, root2x * np.cosh(u), rel_tol=inner) * np.sinh(u)
+                alpha, np.multiply.outer(root2x[at], np.cosh(u)), rel_tol=inner) * np.sinh(u)
 
         def wave(nu, u):
             return np.sin(nu.real * u)
 
-    def rows_at(u, rows):
-        return profile(u) * np.array([wave(ns[i], u) for i in rows])
+    dtype = complex if kind is KernelKind.CYLINDER_COS and any(nu.imag for nu in ns) else float
 
-    results = integrate_finite_rows(rows_at, 0.0, math.pi, [s.abs_tol for s in specs], quad)
+    def rows_at(u, rows):
+        # row r is the pair (x r // len(ns), index r % len(ns))
+        x_of, n_of = np.divmod(np.asarray(rows), len(ns))
+        open_x, x_row = np.unique(x_of, return_inverse=True)
+        waves = np.array([wave(nu, u) for nu in ns], dtype=dtype)
+        return profile(open_x, u)[x_row] * waves[n_of]
+
+    results = integrate_finite_rows(rows_at, 0.0, math.pi,
+                                    [s.abs_tol for s in specs] * xs.size, quad)
     if kind is KernelKind.CYLINDER_SIN:
         # even integrand: the [-pi, pi] kernel is twice the [0, pi] integral
-        return [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
-    return [(r.value, r.error_estimate, r.converged) for r in results]
+        triples = [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
+    else:
+        triples = [(r.value, r.error_estimate, r.converged) for r in results]
+    return [triples[j:j + len(ns)] for j in range(0, len(triples), len(ns))]
 
 
 def _kernel_eval_mp(kind: KernelKind, mu: float, nu: complex, x: float, dps: int):
@@ -192,7 +215,12 @@ def _kernel_value(kind: KernelKind, mu: float, index, x: float, quad: QuadSpec):
     The value is real except for a complex index of the cosine kernel.
     """
     mu, index, x = _checked(kind, mu, index, x)
-    value, err, ok = _kernel_eval(kind, mu, index.value, x, quad)
+    return _entry(kind, mu, index, x, _kernel_eval(kind, mu, index.value, x, quad))
+
+
+def _entry(kind: KernelKind, mu: float, index: ComplexIndex, x: float, triple):
+    """(value, error) of one checked request from its (value, error, converged)."""
+    value, err, ok = triple
     if not ok:
         raise NonConvergence(
             f"{_STALL_NAMES[kind]} at (mu={mu}, index={index.value}, x={x}) "
@@ -314,11 +342,18 @@ def build_kernel_table(kind: KernelKind, mu: float, indices: Iterable,
     tols = []
     failures = []
     for i, idx in enumerate(indices):
+        # one many-x call per index; if some x raises, each x runs alone so
+        # that only the entries that fail are marked
+        try:
+            row = [t for [t] in _kernel_eval_many(kind, mu, [idx.value], xs, [quad])]
+        except DiwtError:
+            row = [None] * len(xs)
         row_v = []
         row_t = []
         for j, x in enumerate(xs):
             try:
-                v, err = _kernel_value(kind, mu, idx, x, quad)
+                v, err = _entry(kind, mu, idx, x,
+                                row[j] or _kernel_eval(kind, mu, idx.value, x, quad))
             except DiwtError as exc:
                 failures.append((i, j, f"{type(exc).__name__}: {exc}"))
                 v, err = float("nan"), float("inf")

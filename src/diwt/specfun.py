@@ -6,6 +6,11 @@ functions of negative order, the Whittaker W function by two independent
 routes (a Mellin-Barnes contour integral and a Bessel-Laplace integral),
 and a finite-range incomplete Bessel integral.
 
+The cylinder quadrature stops each z point at its own refinement level and
+sums each point along its own nodes, so a cylinder value depends only on
+(alpha, z, rel_tol), never on the batch that holds it; callers may batch
+any points together without moving a value.
+
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, and the Bessel-Laplace route serves as an
 independent cross-check.  They share no quadrature path beyond the generic
@@ -359,7 +364,8 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     Every other point goes through a per-point truncated and rescaled
     unit interval, so a single tanh-sinh grid serves all of them at once;
     the scaling keeps everything inside double range for all z >= 0 and
-    moderately negative z.
+    moderately negative z.  Each point stops at its own level, so its
+    value is that of a one-point call bit for bit, whatever the batch.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -423,41 +429,73 @@ def _unit_ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return us, np.concatenate([ww[kl], ww[kr]]), np.log(us)
 
 
+# Most entries (points x nodes) the cylinder quadrature forms at once:
+# 2^16 doubles are 512 kB.
+_CYL_BLOCK = 1 << 16
+
+
 def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
                     max_level: int) -> np.ndarray:
+    """Scaled D_{-alpha} at every z by the rescaled tanh-sinh rule on (0, 1).
+
+    Each point stops at its own first level m >= 2 whose relative change
+    is at most rel_tol; NonConvergence is raised if any point is still
+    open after max_level.  Points are evaluated in blocks of at most
+    _CYL_BLOCK entries and each point's nodes are summed along its own
+    row, so a value depends on (alpha, z, rel_tol) only, never on the
+    batch that holds it.
+    """
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
     s_star = 2.0 * _CYL_L / (z + np.sqrt(z * z + 2.0 * _CYL_L))
     a1 = alpha - 1.0
     lg = math.lgamma(alpha)
 
-    def eval_nodes(u, log_u):
-        # exponent a1 log u - s (s/2 + z), built in one buffer
-        s = np.multiply.outer(s_star, u)
-        expo = 0.5 * s
-        expo += z[:, None]
-        expo *= s
-        np.subtract(a1 * log_u, expo, out=expo)
-        return np.exp(expo, out=expo)
+    def node_sums(zl, sl, u, log_u, w):
+        # sum_j w_j u_j^a1 e^{-s (s/2 + z)}, s = s_star u_j, per point, one
+        # block at a time; the exponent is built in the block's buffer
+        out = np.empty(zl.size)
+        step = max(1, _CYL_BLOCK // u.size)
+        a1_log_u = a1 * log_u
+        for lo in range(0, zl.size, step):
+            s = np.multiply.outer(sl[lo:lo + step], u)
+            expo = 0.5 * s
+            expo += zl[lo:lo + step, None]
+            expo *= s
+            np.subtract(a1_log_u, expo, out=expo)
+            np.exp(expo, out=expo)
+            expo *= w
+            np.add.reduce(expo, axis=1, out=out[lo:lo + step])
+        return out
 
     c = 0.5
-    total = None
-    err = np.inf
+    mid = np.array([0.5])
+    total = np.empty(z.size)
+    # the open points, their z and s_star, and their running sums
+    live, zl, sl = np.arange(z.size), z, s_star
+    change = np.array([np.inf])
     for m in range(0, max_level + 1):
         h = 0.5 ** m
         us, ws, log_us = _unit_ts_nodes(m)
-        part = eval_nodes(us, log_us) @ ws
+        part = node_sums(zl, sl, us, log_us, ws)
         if m == 0:
-            mid = np.array([0.5])
-            total = c * h * (part + _TS_W0 * eval_nodes(mid, np.log(mid))[:, 0])
-        else:
-            prev = total
-            total = 0.5 * prev + c * h * part
-            err = np.max(np.abs(total - prev) / np.maximum(np.abs(total), 1e-300))
-            if m >= 2 and err <= rel_tol:
-                break
+            run = c * h * (part + _TS_W0 * node_sums(zl, sl, mid, np.log(mid), np.ones(1)))
+            continue
+        prev = run
+        run = 0.5 * prev + c * h * part
+        if m < 2:
+            continue
+        change = np.abs(run - prev) / np.maximum(np.abs(run), 1e-300)
+        done = change <= rel_tol
+        if done.all():
+            total[live] = run
+            break
+        if done.any():
+            total[live[done]] = run[done]
+            keep = ~done
+            live, zl, sl, run = live[keep], zl[keep], sl[keep], run[keep]
     else:
         raise NonConvergence(
-            f"cylinder integral stalled at relative change {err:.2e}"
+            f"cylinder integral stalled at relative change {change.max():.2e}"
         )
     return np.exp(alpha * np.log(s_star) - lg) * total
 

@@ -234,12 +234,48 @@ class ProfileHandle(FunctionHandle):
         self.is_zero = not any(profile.sine_coeffs)
 
     def __call__(self, x, quad: QuadSpec = DEFAULT_SPEC):
+        """f at every x, as ``function_from_profile`` gives it, in one row-wise u-integral.
+
+        The rows are the x; each u level makes one cylinder call on
+        outer(sqrt(2x), cosh u) for the x still open.  Cylinder D and the
+        row rule keep every point and row independent of the batch, so
+        each value is the one-x value bit for bit.  Extended precision
+        runs one x at a time.
+        """
         arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape, dtype=float)
-        flat = out.reshape(-1)
-        for i, t in enumerate(arr.reshape(-1)):
-            flat[i] = function_from_profile(self.profile, self.mu, float(t), quad)
+        xs = arr.reshape(-1)
+        bad = xs[~(np.isfinite(xs) & (xs > 0.0))]
+        if bad.size:
+            _positive(bad[0], "function_from_profile")
+        if self.is_zero:
+            out = np.zeros(arr.shape)
+        elif quad.precision == "extended":
+            # mpmath evaluates one x at a time
+            out = np.array([float(self._eval_mp(t, quad.dps)) for t in xs.tolist()])
+        else:
+            out = np.array(self._row_integral(xs, quad))
+        out = out.reshape(arr.shape)
         return out[()] if out.shape == () else out
+
+    def _row_integral(self, xs: np.ndarray, quad: QuadSpec) -> list[float]:
+        mu = self.mu
+        alpha = 2.0 - 2.0 * mu
+        root2x = np.sqrt(2.0 * xs)
+        inner = _inner_rel_tol(quad)
+
+        def h(u, rows):
+            return parabolic_cylinder_d_scaled(
+                alpha, np.multiply.outer(root2x[rows], np.cosh(u)), rel_tol=inner) \
+                * np.sinh(u) * self.profile.odd_sine_part(u)
+
+        rs = integrate_finite_rows(h, 0.0, math.pi, [quad.abs_tol] * xs.size, quad)
+        out = []
+        for x, r in zip(xs.tolist(), rs):
+            if not r.converged:
+                raise NonConvergence(
+                    f"profile integral at x={x} stalled at error {r.error_estimate:.2e}")
+            out.append(math.gamma(2.0 * (1.0 - mu)) * (2.0 * x) ** (1.0 - mu) * 2.0 * r.value)
+        return out
 
     def _eval_mp(self, t, dps: int):
         import mpmath as mp
@@ -486,11 +522,16 @@ def _half_line_mp(H, p: float, f: FunctionHandle, quad: QuadSpec, name: str):
         return mp.fsum(r.value for r in rs), sum(r.error_estimate for r in rs)
 
 
+# The mass estimate needs about two digits: its integral runs at _MASS_SPEC
+# and f at _MASS_F_SPEC, well below that but far from full precision.
+_MASS_SPEC = QuadSpec(abs_tol=1e-3, rel_tol=1e-2, max_refinements=7)
+_MASS_F_SPEC = QuadSpec(abs_tol=1e-8, rel_tol=1e-6)
+
+
 def _coarse_mass(f: FunctionHandle) -> float:
     """Loose estimate of int |f(t)| t^{-3/2} dt for kernel-error propagation."""
-    mspec = QuadSpec(abs_tol=1e-3, rel_tol=1e-2, max_refinements=7)
-    [(mass, _)] = _half_line(lambda ts, rows: np.abs(f(ts))[None, :], -1.5, f,
-                             [mspec.abs_tol], mspec, "mass estimate")
+    [(mass, _)] = _half_line(lambda ts, rows: np.abs(f(ts, _MASS_F_SPEC))[None, :], -1.5, f,
+                             [_MASS_SPEC.abs_tol], _MASS_SPEC, "mass estimate")
     # 1.5 slack on a coarse estimate plus a unit floor
     return 1.5 * mass + 1.0
 
@@ -560,18 +601,16 @@ def _invert(kind: KernelKind, mu: float, f: FunctionHandle, ns,
 
     kerr_seen = [0.0] * len(ns)
 
-    # one f call per level, and one kernel column (every open n) per node;
+    # one f call and one kernel call (every node, every open n) per level;
     # a row's kernel errors count only at the nodes its own integral visits
     def H(ts, rows):
-        kernel = []
-        for t in ts.tolist():
-            col = _kernel_eval_many(kind, mu, [ns[i] for i in rows], t,
-                                    [kspecs[i] for i in rows])
+        cols = _kernel_eval_many(kind, mu, [ns[i] for i in rows], ts, [kspecs[i] for i in rows])
+        for col in cols:
             for i, (_, e, _) in zip(rows, col):
                 if e > kerr_seen[i]:
                     kerr_seen[i] = e
-            kernel.append([float(np.real(v)) for v, _, _ in col])
-        return np.array(kernel).T * f(ts, fspec)
+        kernel = np.array([[float(np.real(v)) for v, _, _ in col] for col in cols])
+        return kernel.T * f(ts, fspec)
 
     sums = _half_line(H, -1.5, f, outer_tols, ospec, "inversion integral")
     mass = _coarse_mass(f)
@@ -699,29 +738,15 @@ def function_from_profile(profile: FourierPolynomial, mu: float, x: float,
 
     Over the symmetric interval the even cylinder factor kills every cosine
     harmonic against the odd sinh weight, so only the sine part enters; the
-    integral is folded onto [0, pi] accordingly.
+    integral is folded onto [0, pi] accordingly.  This is the one-x case of
+    ``ProfileHandle``, whose array calls give the same values bit for bit.
     """
     mu = _order_below_half(mu, "function_from_profile")
     x = _positive(x, "function_from_profile")
-    if not any(profile.sine_coeffs):
-        return 0.0
-    if quad.precision == "extended":
-        return ProfileHandle(profile, mu)._eval_mp(x, quad.dps)
-
-    alpha = 2.0 - 2.0 * mu
-    root2x = math.sqrt(2.0 * x)
-    inner = _inner_rel_tol(quad)
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        return parabolic_cylinder_d_scaled(alpha, root2x * np.cosh(u), rel_tol=inner) \
-            * np.sinh(u) * profile.odd_sine_part(u)
-
-    r = integrate_finite(h, 0.0, math.pi, quad)
-    if not r.converged:
-        raise NonConvergence(
-            f"profile integral at x={x} stalled at error {r.error_estimate:.2e}")
-    return math.gamma(2.0 * (1.0 - mu)) * (2.0 * x) ** (1.0 - mu) * 2.0 * r.value
+    handle = ProfileHandle(profile, mu)
+    if quad.precision == "extended" and not handle.is_zero:
+        return handle._eval_mp(x, quad.dps)
+    return float(handle(x, quad))
 
 
 def _function_from_profile_full_range(profile: FourierPolynomial, mu: float,

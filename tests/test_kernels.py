@@ -153,6 +153,25 @@ def test_domain_errors():
         cylinder_sin_kernel(0.0, 1.5, 1.0)
 
 
+@pytest.mark.parametrize("kind, mu, ns", [
+    (KernelKind.CYLINDER_COS, 0.25, [1.0, complex(1.5, -0.5), 2.0]),
+    (KernelKind.ERFC_COS, 0.0, [1.0, 2.0, 3.0]),
+    (KernelKind.CYLINDER_SIN, -0.25, [1.0, 2.0, 3.0]),
+], ids=["cos", "erfc", "sin"])
+def test_many_x_equals_one_x_calls(kind, mu, ns):
+    # rows are (x, index) pairs on shared u nodes, with one cylinder call
+    # per level for the open x; each entry is that of a call at its x alone
+    xs = [0.05, 0.3, 1.0, 2.5, 7.0]
+    specs = [QuadSpec(abs_tol=t) for t in (1e-14, 1e-11, 1e-9)]
+    many = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
+    assert len(many) == len(xs)
+    for x, got in zip(xs, many):
+        assert got == kernels._kernel_eval_many(kind, mu, ns, [x], specs)[0]
+        if kind is not KernelKind.CYLINDER_COS:
+            # a real family: each row is also its own one-index integral
+            assert got == [kernels._kernel_eval(kind, mu, n, x, q) for n, q in zip(ns, specs)]
+
+
 def test_query_validation():
     tab = build_kernel_table(KernelKind.ERFC_COS, 0.3, [ComplexIndex(1, 0)], [1.0])
     assert tab.mu == 0.0  # mu is meaningless for the erfc kernel

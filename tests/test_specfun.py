@@ -2,12 +2,16 @@
 cross-route agreement, and the two kernel bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
-from diwt.errors import DomainError, OrderError, PoleError, PrecisionBudgetExceeded
+from diwt import specfun
+from diwt.errors import DomainError, NonConvergence, OrderError, PoleError, \
+    PrecisionBudgetExceeded
 from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line
 from diwt.specfun import (
     ComplexIndex,
@@ -313,6 +317,39 @@ def test_cylinder_scaled_continuous_at_series_edge(alpha):
         outside = np.nextafter(edge, 2.0 * edge)
         inner, outer = parabolic_cylinder_d_scaled(alpha, np.array([edge, outside]))
         assert abs(outer - inner) <= 4e-15 * inner
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(alpha=st.floats(0.05, 6.0),
+       zs=st.lists(st.floats(-1.5, 40.0), min_size=1, max_size=30),
+       cut=st.integers(0, 29), seed=st.integers(0, 2 ** 32 - 1))
+def test_cylinder_value_independent_of_batch(alpha, zs, cut, seed):
+    # every path stops each point on its own and sums it along its own
+    # nodes, so a batch changes no value: shuffled, sliced, spread over
+    # many blocks, or with blocks of one point
+    z = np.array(zs)
+    alone = np.array([parabolic_cylinder_d_scaled(alpha, zi) for zi in zs])
+    assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z), alone)
+    perm = np.random.default_rng(seed).permutation(z.size)
+    assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z[perm]), alone[perm])
+    assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z[cut:]), alone[cut:])
+    big = np.resize(z, 6000)  # more points than one block holds at level 0
+    assert np.array_equal(parabolic_cylinder_d_scaled(alpha, big), np.resize(alone, 6000))
+    with mock.patch.object(specfun, "_CYL_BLOCK", 100):
+        assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z), alone)
+
+
+def test_cylinder_batch_with_one_stalled_point_raises():
+    # at alpha = 0.04 the last relative change is about 2.4e-13 at z = -1
+    # and 2.8e-13 at z = 10 and 30; the batch raises and names the worst
+    tol = 2.6e-13
+    assert np.isfinite(_cyl_quadrature(0.04, np.array([-1.0]), tol, 9)).all()
+    with pytest.raises(NonConvergence) as lone:
+        _cyl_quadrature(0.04, np.array([30.0]), tol, 9)
+    with pytest.raises(NonConvergence) as batch:
+        _cyl_quadrature(0.04, np.array([-1.0, 30.0, 10.0, -1.0]), tol, 9)
+    assert str(batch.value) == str(lone.value)
+    assert "relative change 2.8" in str(batch.value)
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,15 @@ class TestProfileAndSynthesis:
         full = _function_from_profile_full_range(p, 0.25, x)
         assert folded == pytest.approx(full, rel=1e-11, abs=1e-13)
 
+    def test_handle_array_equals_one_x_calls(self):
+        # one row-wise u-integral over every x gives each x its own value
+        p = FourierPolynomial(sine_coeffs=(0.6, -0.3, 0.1))
+        x = np.array([[0.02, 0.5, 3.0], [11.0, 0.5, 1e-4]])
+        got = ProfileHandle(p, 0.25)(x)
+        assert got.shape == x.shape
+        for g, xi in zip(got.ravel().tolist(), x.ravel().tolist()):
+            assert g == function_from_profile(p, 0.25, xi)
+
     def test_cosine_only_profile_gives_zero(self):
         p = FourierPolynomial(cosine_coeffs=(2.0, -1.0))
         assert function_from_profile(p, 0.0, 1.7) == 0.0
