@@ -7,9 +7,9 @@ routes (a Mellin-Barnes contour integral and a Bessel-Laplace integral),
 and a finite-range incomplete Bessel integral.
 
 The cylinder quadrature stops each z point at its own refinement level and
-sums each point along its own nodes, so a cylinder value depends only on
-(alpha, z, rel_tol), never on the batch that holds it; callers may batch
-any points together without moving a value.
+sums each point as one dot product over its own nodes, so a cylinder value
+depends only on (alpha, z, rel_tol), never on the batch that holds it;
+callers may batch any points together without moving a value.
 
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, and the Bessel-Laplace route serves as an
@@ -441,61 +441,64 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
     Each point stops at its own first level m >= 2 whose relative change
     is at most rel_tol; NonConvergence is raised if any point is still
     open after max_level.  Points are evaluated in blocks of at most
-    _CYL_BLOCK entries and each point's nodes are summed along its own
-    row, so a value depends on (alpha, z, rel_tol) only, never on the
-    batch that holds it.
+    _CYL_BLOCK entries and each point's weighted node sum is one dot
+    product of its own row with the weights (np.vecdot, not a matrix-vector
+    product, whose summation order depends on the row count), so a value
+    depends on (alpha, z, rel_tol) only, never on the batch that holds it.
     """
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
     s_star = 2.0 * _CYL_L / (z + np.sqrt(z * z + 2.0 * _CYL_L))
     a1 = alpha - 1.0
     lg = math.lgamma(alpha)
 
+    def terms(zl, sl, u, log_u):
+        # u^a1 e^{-s (s/2 + z)}, s = s_star u, built in one buffer
+        s = np.multiply.outer(sl, u)
+        expo = 0.5 * s
+        expo += zl[:, None]
+        expo *= s
+        np.subtract(a1 * log_u, expo, out=expo)
+        return np.exp(expo, out=expo)
+
     def node_sums(zl, sl, u, log_u, w):
-        # sum_j w_j u_j^a1 e^{-s (s/2 + z)}, s = s_star u_j, per point, one
-        # block at a time; the exponent is built in the block's buffer
-        out = np.empty(zl.size)
+        # sum_j w_j terms_j for each point, in blocks of at most _CYL_BLOCK
+        # entries; vecdot takes one dot product per row
         step = max(1, _CYL_BLOCK // u.size)
-        a1_log_u = a1 * log_u
-        for lo in range(0, zl.size, step):
-            s = np.multiply.outer(sl[lo:lo + step], u)
-            expo = 0.5 * s
-            expo += zl[lo:lo + step, None]
-            expo *= s
-            np.subtract(a1_log_u, expo, out=expo)
-            np.exp(expo, out=expo)
-            expo *= w
-            np.add.reduce(expo, axis=1, out=out[lo:lo + step])
-        return out
+        if zl.size <= step:
+            return np.vecdot(terms(zl, sl, u, log_u), w)
+        return np.concatenate([np.vecdot(terms(zl[lo:lo + step], sl[lo:lo + step], u, log_u), w)
+                               for lo in range(0, zl.size, step)])
 
     c = 0.5
     mid = np.array([0.5])
     total = np.empty(z.size)
     # the open points, their z and s_star, and their running sums
     live, zl, sl = np.arange(z.size), z, s_star
-    change = np.array([np.inf])
+    worst = np.inf
     for m in range(0, max_level + 1):
         h = 0.5 ** m
         us, ws, log_us = _unit_ts_nodes(m)
         part = node_sums(zl, sl, us, log_us, ws)
         if m == 0:
-            run = c * h * (part + _TS_W0 * node_sums(zl, sl, mid, np.log(mid), np.ones(1)))
+            run = c * h * (part + _TS_W0 * terms(zl, sl, mid, np.log(mid))[:, 0])
             continue
         prev = run
         run = 0.5 * prev + c * h * part
         if m < 2:
             continue
         change = np.abs(run - prev) / np.maximum(np.abs(run), 1e-300)
-        done = change <= rel_tol
-        if done.all():
+        worst = change.max()
+        if worst <= rel_tol:
             total[live] = run
             break
-        if done.any():
-            total[live[done]] = run[done]
-            keep = ~done
+        if change.min() <= rel_tol:
+            # drop the points that have stopped; the rest go on alone
+            keep = change > rel_tol
+            total[live[~keep]] = run[~keep]
             live, zl, sl, run = live[keep], zl[keep], sl[keep], run[keep]
     else:
         raise NonConvergence(
-            f"cylinder integral stalled at relative change {change.max():.2e}"
+            f"cylinder integral stalled at relative change {worst:.2e}"
         )
     return np.exp(alpha * np.log(s_star) - lg) * total
 
