@@ -348,10 +348,9 @@ def build_kernel_table(kind: KernelKind, mu: float, indices: Iterable,
     tols = []
     failures = []
     for i, idx in enumerate(indices):
-        # one many-x call per index (2.4x faster than one call per x on a
-        # 40-point grid); if it raises, which a cylinder stall at any x of
-        # the row does, each x runs alone so that only failing entries are
-        # marked
+        # one many-x call per index row; if it raises, which a cylinder
+        # stall at any x of the row does, each x runs alone so that only
+        # the entries that fail are marked
         try:
             row = [t for [t] in _kernel_eval_many(kind, mu, [idx.value], xs, [quad])]
         except DiwtError:
