@@ -19,7 +19,11 @@ All three also come row-wise (``integrate_finite_rows``,
 family of integrands shares every node evaluation, and each row stops at its
 own level with the result it would have alone.  ``integrate_finite`` and
 ``integrate_vertical_line`` are the one-row cases, so there is a single
-tanh-sinh and a single trapezoid refinement loop.
+tanh-sinh and a single trapezoid refinement loop.  The tanh-sinh loop holds
+per-row state in arrays and asks its caller for each open row's weighted
+node sum: ``integrate_finite_rows`` sums pairwise, which keeps oscillating
+integrands accurate, and the cylinder function of :mod:`diwt.specfun` runs
+on the same loop with a faster dot product per row.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -170,6 +174,82 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, weight
 
 
+@lru_cache(maxsize=128)
+def _level_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights that a level adds on (a, b), midpoint aside.
+
+    Nodes that round onto an endpoint are dropped per side; their weights
+    are below 1e-16 of the interval scale.
+    """
+    delta, weight = _ts_nodes(level)
+    c = 0.5 * (b - a)
+    xl = a + c * delta
+    xr = b - c * delta
+    kl = xl > a
+    kr = xr < b
+    xs = np.concatenate([xl[kl], xr[kr]])
+    ws = np.concatenate([weight[kl], weight[kr]])
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    # np.abs of a complex array can differ from abs() of each element in the
+    # last bit (AVX-512 builds); hypot does not
+    return np.hypot(v.real, v.imag) if v.dtype.kind == "c" else np.abs(v)
+
+
+def _tanh_sinh_rows(S, a: float, b: float, abs_tols: np.ndarray, rel_tol: float,
+                    max_level: int, max_evals: float = math.inf):
+    """The tanh-sinh refinement loop of a family of integrals over (a, b).
+
+    ``S(xs, ws, rows)`` returns sum_j ws[j] f_i(xs[j]) for each row i of the
+    index array ``rows``, summed along the row alone.  Row i stops at the
+    first level m >= 2 whose change is at most max(abs_tols[i], rel_tol *
+    |sum|); rows open after ``max_level``, or when the next level would
+    take the node count past ``max_evals``, stop unconverged.  Stopped rows
+    leave the state arrays and S is asked for open rows only; every update
+    is elementwise, so each row gets the numbers of a one-row run.  Returns
+    per-row arrays: value, error estimate, stop level, node count, converged.
+    """
+    n = abs_tols.size
+    c = 0.5 * (b - a)
+    value, error = np.empty(n), np.full(n, math.inf)
+    levels, evals, converged = np.zeros(n, int), np.zeros(n, int), np.zeros(n, bool)
+    rows, tol, err = np.arange(n), abs_tols, math.inf
+    count = level = 0
+    for m in range(max_level + 1):
+        if not rows.size:
+            break
+        xs, ws = _level_nodes(a, b, m)
+        n_new = xs.size + (1 if m == 0 else 0)
+        if count + n_new > max_evals:
+            break
+        h = 0.5 ** m
+        part = S(xs, ws, rows)
+        if m == 0:
+            run = c * h * (part + S(np.array([a + c]), np.array([_TS_W0]), rows))
+        else:
+            prev = run
+            run = 0.5 * prev + c * h * part
+            err = _magnitude(run - prev)
+        if value.dtype != run.dtype:  # a complex family
+            value = value.astype(run.dtype)
+        count += n_new
+        level = m
+        if m >= 2:
+            done = err <= np.maximum(tol, rel_tol * _magnitude(run))
+            if np.count_nonzero(done):
+                at = rows[done]
+                value[at], error[at], levels[at], evals[at] = run[done], err[done], m, count
+                converged[at] = True
+                keep = ~done
+                rows, tol, run, err = rows[keep], tol[keep], run[keep], err[keep]
+    if rows.size:
+        value[rows], error[rows], levels[rows], evals[rows] = run, err, level, count
+    return value, error, levels, evals, converged
+
+
 class _VecCall:
     """Calls f on node arrays, falling back to a scalar loop if needed."""
 
@@ -234,61 +314,13 @@ def integrate_finite_rows(F, a: float, b: float, abs_tols,
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InvalidInterval(f"expected finite a < b, got ({a}, {b})")
-    tols = [float(t) for t in abs_tols]
-    results: list[IntegralResult | None] = [None] * len(tols)
-    # per-row running sums stay numpy scalars, so each row does exactly
-    # the scalar arithmetic of a one-row run
-    total: list = [None] * len(tols)
-    err = [math.inf] * len(tols)
-    c = 0.5 * (b - a)
-    mid = a + c
-    rows = list(range(len(tols)))
-    count = 0
-    levels_done = 0
-    for m in range(0, spec.max_refinements + 1):
-        if not rows:
-            break
-        delta, weight = _ts_nodes(m)
-        xl = a + c * delta
-        xr = b - c * delta
-        # nodes that round onto an endpoint are dropped per side; their
-        # weights are below 1e-16 of the interval scale
-        kl = xl > a
-        kr = xr < b
-        h = 0.5 ** m
-        n_new = int(np.count_nonzero(kl)) + int(np.count_nonzero(kr)) + (1 if m == 0 else 0)
-        if count + n_new > spec.max_evals:
-            break
-        xs = np.concatenate([xl[kl], xr[kr]])
-        ws = np.concatenate([weight[kl], weight[kr]])
-        # C order: each row then sums pairwise along its own nodes, as alone
-        partial = (ws * np.ascontiguousarray(F(xs, rows))).sum(axis=1)
-        count += xs.size
-        if m == 0:
-            at_mid = F(np.array([mid]), rows)[:, 0]
-            count += 1
-            for k, i in enumerate(rows):
-                total[i] = c * h * (partial[k] + _TS_W0 * at_mid[k])
-        else:
-            for k, i in enumerate(rows):
-                prev_total = total[i]
-                total[i] = 0.5 * prev_total + c * h * partial[k]
-                err[i] = abs(total[i] - prev_total)
-        levels_done = m
-        if m >= 2:
-            still_open = []
-            for i in rows:
-                if err[i] <= max(tols[i], spec.rel_tol * abs(total[i])):
-                    results[i] = _row_result(total[i], err[i], count, True,
-                                             {"levels": m, "rule": "tanh-sinh"})
-                else:
-                    still_open.append(i)
-            rows = still_open
-
-    for i in rows:
-        results[i] = _row_result(total[i], err[i], count, False,
-                                 {"levels": levels_done, "rule": "tanh-sinh"})
-    return results
+    value, err, levels, evals, converged = _tanh_sinh_rows(
+        # C order: each row sums pairwise along its own nodes, as alone
+        lambda xs, ws, rows: (ws * np.ascontiguousarray(F(xs, rows.tolist()))).sum(axis=1),
+        a, b, np.fromiter(abs_tols, dtype=float), spec.rel_tol, spec.max_refinements,
+        spec.max_evals)
+    return [_row_result(v, e, n, ok, {"levels": m, "rule": "tanh-sinh"}) for v, e, m, n, ok
+            in zip(value, err, levels.tolist(), evals.tolist(), converged.tolist())]
 
 
 def _row_result(total, err, count: int, converged: bool, meta: dict) -> IntegralResult:

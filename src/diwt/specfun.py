@@ -6,10 +6,10 @@ functions of negative order, the Whittaker W function by two independent
 routes (a Mellin-Barnes contour integral and a Bessel-Laplace integral),
 and a finite-range incomplete Bessel integral.
 
-The cylinder quadrature stops each z point at its own refinement level and
-sums each point as one dot product over its own nodes, so a cylinder value
-depends only on (alpha, z, rel_tol), never on the batch that holds it;
-callers may batch any points together without moving a value.
+The cylinder quadrature is a row-wise tanh-sinh integral with a row per z
+point, summed as one dot product per row, so a cylinder value depends only
+on (alpha, z, rel_tol), never on the batch that holds it; callers may batch
+any points together without moving a value.
 
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, and the Bessel-Laplace route serves as an
@@ -39,6 +39,7 @@ from .quad import (
     DEFAULT_SPEC,
     MellinBarnesSpec,
     QuadSpec,
+    _tanh_sinh_rows,
     _ts_nodes,
     _TS_W0,
     integrate_finite,
@@ -249,8 +250,8 @@ def _k_imag_series(sigma: float, t):
     return -math.pi * np.imag(ivals) / math.sinh(math.pi * sigma)
 
 
-# Level cap of the two batched tanh-sinh loops below (K batch, cylinder D),
-# and the K batch's relative-change target.
+# Level cap of the cylinder quadrature and of the K batch's own loop (it
+# stops the whole batch at once), and the K batch's relative-change target.
 _BATCH_MAX_LEVEL = 9
 _K_BATCH_REL_TOL = 1e-13
 
@@ -417,18 +418,6 @@ def _cyl_series_coeffs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-@lru_cache(maxsize=None)
-def _unit_ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New tanh-sinh nodes of one level on (0, 1): nodes, weights, log nodes."""
-    delta, ww = _ts_nodes(level)
-    ul = 0.5 * delta
-    ur = 1.0 - 0.5 * delta
-    kl = ul > 0.0
-    kr = ur < 1.0
-    us = np.concatenate([ul[kl], ur[kr]])
-    return us, np.concatenate([ww[kl], ww[kr]]), np.log(us)
-
-
 # Most entries (points x nodes) the cylinder quadrature forms at once:
 # 2^16 doubles are 512 kB.
 _CYL_BLOCK = 1 << 16
@@ -438,13 +427,13 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
                     max_level: int) -> np.ndarray:
     """Scaled D_{-alpha} at every z by the rescaled tanh-sinh rule on (0, 1).
 
-    Each point stops at its own first level m >= 2 whose relative change
-    is at most rel_tol; NonConvergence is raised if any point is still
-    open after max_level.  Points are evaluated in blocks of at most
-    _CYL_BLOCK entries and each point's weighted node sum is one dot
-    product of its own row with the weights (np.vecdot, not a matrix-vector
-    product, whose summation order depends on the row count), so a value
-    depends on (alpha, z, rel_tol) only, never on the batch that holds it.
+    The points are rows of the row loop of quad: each stops at its own first
+    level m >= 2 whose relative change is at most rel_tol; NonConvergence
+    is raised if any is still open after max_level.  Points are evaluated
+    in blocks of at most _CYL_BLOCK entries and each point's weighted node
+    sum is one dot product of its own row with the weights (np.vecdot, not
+    a matrix-vector product, whose summation order depends on the row
+    count), so a value depends on (alpha, z, rel_tol) only.
     """
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
     s_star = 2.0 * _CYL_L / (z + np.sqrt(z * z + 2.0 * _CYL_L))
@@ -460,46 +449,22 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
         np.subtract(a1 * log_u, expo, out=expo)
         return np.exp(expo, out=expo)
 
-    def node_sums(zl, sl, u, log_u, w):
-        # sum_j w_j terms_j for each point, in blocks of at most _CYL_BLOCK
-        # entries; vecdot takes one dot product per row
+    def node_sums(u, w, rows):
+        # sum_j w_j terms_j for each open point (all of them while none has
+        # stopped), in blocks of at most _CYL_BLOCK entries
+        zl, sl = (z, s_star) if rows.size == z.size else (z[rows], s_star[rows])
+        log_u = np.log(u)
         step = max(1, _CYL_BLOCK // u.size)
         if zl.size <= step:
             return np.vecdot(terms(zl, sl, u, log_u), w)
         return np.concatenate([np.vecdot(terms(zl[lo:lo + step], sl[lo:lo + step], u, log_u), w)
                                for lo in range(0, zl.size, step)])
 
-    c = 0.5
-    mid = np.array([0.5])
-    total = np.empty(z.size)
-    # the open points, their z and s_star, and their running sums
-    live, zl, sl = np.arange(z.size), z, s_star
-    worst = np.inf
-    for m in range(0, max_level + 1):
-        h = 0.5 ** m
-        us, ws, log_us = _unit_ts_nodes(m)
-        part = node_sums(zl, sl, us, log_us, ws)
-        if m == 0:
-            run = c * h * (part + _TS_W0 * terms(zl, sl, mid, np.log(mid))[:, 0])
-            continue
-        prev = run
-        run = 0.5 * prev + c * h * part
-        if m < 2:
-            continue
-        change = np.abs(run - prev) / np.maximum(np.abs(run), 1e-300)
-        worst = change.max()
-        if worst <= rel_tol:
-            total[live] = run
-            break
-        if change.min() <= rel_tol:
-            # drop the points that have stopped; the rest go on alone
-            keep = change > rel_tol
-            total[live[~keep]] = run[~keep]
-            live, zl, sl, run = live[keep], zl[keep], sl[keep], run[keep]
-    else:
-        raise NonConvergence(
-            f"cylinder integral stalled at relative change {worst:.2e}"
-        )
+    total, change, _, _, converged = _tanh_sinh_rows(
+        node_sums, 0.0, 1.0, np.zeros(z.size), rel_tol, max_level)
+    if not converged.all():
+        worst = (change / np.maximum(np.abs(total), 1e-300))[~converged].max()
+        raise NonConvergence(f"cylinder integral stalled at relative change {worst:.2e}")
     return np.exp(alpha * np.log(s_star) - lg) * total
 
 

@@ -50,9 +50,8 @@ from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval
     cylinder_sin_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from .specfun import WhittakerOrder, _order_below_half, _positive, _positive_index, \
-    _w_contour_many, _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled, \
-    whittaker_w_mb
+from .specfun import _order_below_half, _positive, _positive_index, \
+    _w_contour_many, _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,8 @@ class ForwardHandle(FunctionHandle):
         if quad.precision == "extended":
             # mpmath evaluates one x at a time
             for i, t in enumerate(arr.reshape(-1).tolist()):
-                flat[i] = sum(a * whittaker_w_mb(WhittakerOrder(self.mu, m), t, quad=quad,
-                                                 scaled=True) for m, a in terms)
+                if terms:
+                    flat[i] = self._eval_mp(_positive(t, "whittaker_w_mb"), quad.dps)
         else:
             for m, a in terms:
                 flat += a * _w_contour_many(self.mu, complex(0.0, m), arr, quad)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from diwt.errors import InvalidDecayScale, InvalidInterval, TailNotNegligible
 from diwt import quad
@@ -182,6 +183,39 @@ def test_rows_complex_and_budget_shared():
         _same_result(r, integrate_finite(f, 0.0, 2.0, spec))
     assert isinstance(rows[0].value, complex)
     assert not rows[1].converged
+
+
+# ROW_FUNCS under ROW_SPEC close at levels 2 to 4 or run out of budget; the
+# complex family gives each a phase
+COMPLEX_ROW_FUNCS = tuple((lambda x, f=f: f(x) * np.exp(0.5j * x)) for f in ROW_FUNCS)
+BUDGET_ROW = 3
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1), complex_family=st.booleans())
+def test_rows_property_each_row_equals_its_own_integral(n, seed, complex_family):
+    # random rows and abs_tols, so rows close at interleaved levels; the
+    # abs_tols come from a grid, so each distinct row is integrated alone once
+    funcs = COMPLEX_ROW_FUNCS if complex_family else ROW_FUNCS
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, len(funcs), n)
+    tols = 10.0 ** rng.integers(-15, -1, n).astype(float)
+    budget = int(rng.integers(n))
+    which[budget], tols[budget] = BUDGET_ROW, 1e-15
+    rows = integrate_finite_rows(_family([funcs[k] for k in which], []), 0.0, 1.0,
+                                 tols.tolist(), ROW_SPEC)
+    alone = {}
+    for k, tol, r in zip(which.tolist(), tols.tolist(), rows):
+        if (k, tol) not in alone:
+            alone[k, tol] = integrate_finite(funcs[k], 0.0, 1.0, replace(ROW_SPEC, abs_tol=tol))
+        _same_result(r, alone[k, tol])
+        assert isinstance(r.value, complex) == complex_family
+    assert not rows[budget].converged
+    assert rows[budget].meta["levels"] < ROW_SPEC.max_refinements
+
+
+def test_rows_empty_family():
+    assert integrate_finite_rows(_family(ROW_FUNCS, []), 0.0, 1.0, [], ROW_SPEC) == []
 
 
 def test_semi_infinite_rows_group_by_truncation():
