@@ -174,6 +174,7 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta, weight
 
 
+# bounded: many intervals are integrated over once (one per x for K_{i tau})
 @lru_cache(maxsize=128)
 def _level_nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights that a level adds on (a, b), midpoint aside.

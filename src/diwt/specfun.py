@@ -427,7 +427,7 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
                     max_level: int) -> np.ndarray:
     """Scaled D_{-alpha} at every z by the rescaled tanh-sinh rule on (0, 1).
 
-    The points are rows of the row loop of quad: each stops at its own first
+    Each point is a row of quad's tanh-sinh loop and stops at its own first
     level m >= 2 whose relative change is at most rel_tol; NonConvergence
     is raised if any is still open after max_level.  Points are evaluated
     in blocks of at most _CYL_BLOCK entries and each point's weighted node
