@@ -50,6 +50,7 @@ from .quad import DEFAULT_SPEC, QuadSpec
 from .specfun import (
     ComplexIndex,
     WhittakerOrder,
+    _positive,
     bessel_k_imag,
     erfc,
     incomplete_bessel_j,
@@ -65,7 +66,6 @@ from .transforms import (
     TransformParams,
     closed_form_coefficients,
     coefficient_transform_many,
-    forward_series,
     invert_many,
     synthesize_series,
 )
@@ -515,8 +515,10 @@ def _cmd_forward(args) -> int:
     cfg = _merged_config(args, "forward")
     quad = _quad_of(cfg)
     seq = CoefficientSeq(tuple(cfg["coefficients"]))
-    rows = [[_g17(x), _g17(forward_series(seq, float(cfg["mu"]), float(x), quad))]
-            for x in cfg["x_grid"]]
+    # forward_series' check of each x, then one array call over the grid
+    xs = [_positive(x, "forward_series") for x in cfg["x_grid"]]
+    values = ForwardHandle(seq, float(cfg["mu"]))(np.array(xs), quad)
+    rows = [[_g17(x), _g17(v)] for x, v in zip(cfg["x_grid"], values.tolist())]
     _deliver(args, "forward", cfg, quad, _csv(["x", "value"], rows), started)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from .errors import DomainError, NonConvergence, UnknownCheckId
 from .kernels import cylinder_cos_kernel, cylinder_sin_kernel, erfc_cos_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
 from .specfun import (ComplexIndex, WhittakerOrder, _order_below_half, _positive,
-                      _positive_index, _w_contour_general, bessel_k_imag, erfcx,
+                      _positive_index, _w_contour_many, bessel_k_imag, erfcx,
                       incomplete_bessel_j, log_gamma, whittaker_w_mb)
 from .transforms import CoefficientSeq, ForwardHandle
 
@@ -101,32 +101,24 @@ def check_whittaker_laplace_bessel(mu: float, rho: complex, x: float,
             f"second index must be purely real or purely imaginary, got {rho}")
     spec = _integration_spec(quad)
 
-    if rho.imag != 0.0 or rho == 0.0:
-        order = WhittakerOrder(mu, abs(rho.imag))
+    # the contour route at second index |rho| (whittaker_w_mb's route for i tau)
+    rr = complex(abs(rho.real), abs(rho.imag))
 
-        def scaled_w(t: float) -> float:
-            return whittaker_w_mb(order, t, quad=spec, scaled=True)
-    else:
-        rr = complex(abs(rho.real), 0.0)
-
-        def scaled_w(t: float) -> float:
-            return _w_contour_general(mu, rr, t, quad=spec)
-
-    def g_low(v: float) -> float:
-        t = math.exp(-v)
-        return math.exp(-x * x / (4.0 * t)) * scaled_w(t) * t ** (mu - 1.0)
-
-    def g_high(s: float) -> float:
-        t = 1.0 + s
-        return math.exp(-x * x / (4.0 * t)) * scaled_w(t) * t ** (mu - 2.0)
+    def g(t: list, power: float):
+        # one contour-route call for every node of an integrand call
+        w = _w_contour_many(mu, rr, t, spec).tolist()
+        return np.array([math.exp(-x * x / (4.0 * ti)) * wi * ti ** power
+                         for ti, wi in zip(t, w)])
 
     # truncate the log-substituted piece where the Gaussian has crushed
     # the t^(mu-1) growth: x^2 e^V / 4 >= 45 + (1-mu) V
     cut = 10.0
     for _ in range(4):
         cut = math.log((4.0 * (45.0 + (1.0 - mu) * cut)) / (x * x) + 20.0)
-    r1 = integrate_finite(g_low, 0.0, cut, spec)
-    r2 = integrate_semi_infinite(g_high, 2.0, spec)
+    r1 = integrate_finite(lambda v: g([math.exp(-vi) for vi in v.tolist()], mu - 1.0),
+                          0.0, cut, spec)
+    r2 = integrate_semi_infinite(lambda s: g([1.0 + si for si in s.tolist()], mu - 2.0),
+                                 2.0, spec)
     if not (r1.converged and r2.converged):
         raise NonConvergence("Whittaker Laplace-transform quadrature stalled")
     lhs = r1.value + r2.value
@@ -357,17 +349,14 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     inner_spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-9, max_refinements=10,
                           max_evals=quad.max_evals)
 
-    @cache
-    def f_at(t: float) -> float:
-        return float(np.real(f(t, fspec)))
+    f_known: dict[float, float] = {}
 
-    def f_low(v: float) -> float:
-        t = math.exp(-v)
-        return f_at(t) * t ** (mu - 1.0)
-
-    def f_high(s: float) -> float:
-        t = 1.0 + s
-        return f_at(t) * t ** (mu - 2.0)
+    def f_times(ts: list, power: float):
+        # f(t) t^power; one forward-series call for the t not met before
+        new = [t for t in dict.fromkeys(ts) if t not in f_known]
+        if new:
+            f_known.update(zip(new, np.real(f(np.array(new), fspec)).tolist()))
+        return np.array([f_known[t] * t ** power for t in ts])
 
     # the outer abscissae crowding x = 1 round to one x as well
     @cache
@@ -375,14 +364,11 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
         xx = 0.25 * x * x
 
         def g_low(v):
-            v = np.asarray(v, dtype=float)
-            vals = np.array([f_low(float(vi)) for vi in v.reshape(-1)])
-            return (np.exp(-xx * np.exp(v.reshape(-1))) * vals).reshape(v.shape)
+            return np.exp(-xx * np.exp(v)) * f_times([math.exp(-vi) for vi in v.tolist()],
+                                                     mu - 1.0)
 
         def g_high(s):
-            s = np.asarray(s, dtype=float)
-            vals = np.array([f_high(float(si)) for si in s.reshape(-1)])
-            return (np.exp(-xx / (1.0 + s.reshape(-1))) * vals).reshape(s.shape)
+            return np.exp(-xx / (1.0 + s)) * f_times([1.0 + si for si in s.tolist()], mu - 2.0)
 
         r1 = integrate_finite(g_low, 0.0, v_in_cut, inner_spec)
         r2 = integrate_finite(g_high, 0.0, s_in_cut, inner_spec)

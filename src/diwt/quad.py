@@ -18,12 +18,12 @@ All three also come row-wise (``integrate_finite_rows``,
 ``integrate_semi_infinite_rows``, ``integrate_vertical_line_rows``): a
 family of integrands shares every node evaluation, and each row stops at its
 own level with the result it would have alone.  ``integrate_finite`` and
-``integrate_vertical_line`` are the one-row cases, so there is a single
-tanh-sinh and a single trapezoid refinement loop.  The tanh-sinh loop holds
-per-row state in arrays and asks its caller for each open row's weighted
-node sum: ``integrate_finite_rows`` sums pairwise, which keeps oscillating
-integrands accurate, and the cylinder function of :mod:`diwt.specfun` runs
-on the same loop with a faster dot product per row.
+``integrate_vertical_line`` are the one-row cases, and both rules run on one
+step-halving loop that holds per-row state in arrays; they differ only in
+the nodes each level adds.  The loop asks its caller for each open row's
+weighted node sum: ``integrate_finite_rows`` sums pairwise, which keeps
+oscillating integrands accurate, and the cylinder function of
+:mod:`diwt.specfun` runs on the tanh-sinh rule with a faster dot product.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -35,7 +35,7 @@ mode (>= 30 significant digits, backed by mpmath) is selected through
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 
 import numpy as np
@@ -200,21 +200,35 @@ def _magnitude(v: np.ndarray) -> np.ndarray:
     return np.hypot(v.real, v.imag) if v.dtype.kind == "c" else np.abs(v)
 
 
-def _tanh_sinh_rows(S, a: float, b: float, abs_tols: np.ndarray, rel_tol: float,
-                    max_level: int, max_evals: float = math.inf):
-    """The tanh-sinh refinement loop of a family of integrals over (a, b).
+def _tanh_sinh(a: float, b: float):
+    """The tanh-sinh rule on (a, b) as ``_refine_rows`` takes it.
 
-    ``S(xs, ws, rows)`` returns sum_j ws[j] f_i(xs[j]) for each row i of the
-    index array ``rows``, summed along the row alone.  Row i stops at the
-    first level m >= 2 whose change is at most max(abs_tols[i], rel_tol *
-    |sum|); rows open after ``max_level``, or when the next level would
-    take the node count past ``max_evals``, stop unconverged.  Stopped rows
-    leave the state arrays and S is asked for open rows only; every update
-    is elementwise, so each row gets the numbers of a one-row run.  Returns
-    per-row arrays: value, error estimate, stop level, node count, converged.
+    Level m adds the ``_level_nodes(a, b, m)``; the midpoint joins level 0.
+    Sums scale by half the interval length.
     """
-    n = abs_tols.size
     c = 0.5 * (b - a)
+    return partial(_level_nodes, a, b), (np.array([a + c]), np.array([_TS_W0])), c
+
+
+def _refine_rows(S, rule, abs_tols: np.ndarray, rel_tol: float,
+                 max_level: int, max_evals: float = math.inf):
+    """The step-halving refinement loop of a family of integrals, for either rule.
+
+    ``rule`` is (nodes, mid, c): level m adds the nodes and weights
+    ``nodes(m)`` (and at level 0 the piece ``mid``, unless None, summed on
+    its own), and a row's level-m sum is half the previous one plus c 2^-m
+    times its weighted node sums.  ``S(xs, ws, rows)`` returns sum_j ws[j]
+    f_i(xs[j]) for each row i of the index array ``rows``, summed along the
+    row alone.  Row i stops at the first level m >= 2 whose change is at
+    most max(abs_tols[i], rel_tol * |sum|); rows open after ``max_level``,
+    or when a level m >= 1 would take the node count past ``max_evals``,
+    stop unconverged.  Stopped rows leave the state arrays and S is asked
+    for open rows only; every update is elementwise, so each row gets the
+    numbers of a one-row run.  Returns per-row arrays: value, error
+    estimate, stop level, node count, converged.
+    """
+    nodes, mid, c = rule
+    n = abs_tols.size
     value, error = np.empty(n), np.full(n, math.inf)
     levels, evals, converged = np.zeros(n, int), np.zeros(n, int), np.zeros(n, bool)
     rows, tol, err = np.arange(n), abs_tols, math.inf
@@ -222,17 +236,16 @@ def _tanh_sinh_rows(S, a: float, b: float, abs_tols: np.ndarray, rel_tol: float,
     for m in range(max_level + 1):
         if not rows.size:
             break
-        xs, ws = _level_nodes(a, b, m)
-        n_new = xs.size + (1 if m == 0 else 0)
-        if count + n_new > max_evals:
+        xs, ws = nodes(m)
+        n_new = xs.size + (mid[0].size if m == 0 and mid else 0)
+        if m and count + n_new > max_evals:
             break
-        h = 0.5 ** m
         part = S(xs, ws, rows)
         if m == 0:
-            run = c * h * (part + S(np.array([a + c]), np.array([_TS_W0]), rows))
+            run = c * (part + S(*mid, rows) if mid else part)
         else:
             prev = run
-            run = 0.5 * prev + c * h * part
+            run = 0.5 * prev + c * 0.5 ** m * part
             err = _magnitude(run - prev)
         if value.dtype != run.dtype:  # a complex family
             value = value.astype(run.dtype)
@@ -315,10 +328,10 @@ def integrate_finite_rows(F, a: float, b: float, abs_tols,
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise InvalidInterval(f"expected finite a < b, got ({a}, {b})")
-    value, err, levels, evals, converged = _tanh_sinh_rows(
+    value, err, levels, evals, converged = _refine_rows(
         # C order: each row sums pairwise along its own nodes, as alone
         lambda xs, ws, rows: (ws * np.ascontiguousarray(F(xs, rows.tolist()))).sum(axis=1),
-        a, b, np.fromiter(abs_tols, dtype=float), spec.rel_tol, spec.max_refinements,
+        _tanh_sinh(a, b), np.fromiter(abs_tols, dtype=float), spec.rel_tol, spec.max_refinements,
         spec.max_evals)
     return [_row_result(v, e, n, ok, {"levels": m, "rule": "tanh-sinh"}) for v, e, m, n, ok
             in zip(value, err, levels.tolist(), evals.tolist(), converged.tolist())]
@@ -442,6 +455,26 @@ def _row_blocks(G, s: np.ndarray, rows: list):
                                        for lo in range(0, s.size, _LINE_BLOCK)], axis=1)
 
 
+def _trapezoid(gam: float, T: float):
+    """The trapezoid rule on s = gam + i t, |t| <= T, as ``_refine_rows`` takes it.
+
+    Level 0 steps by h0 <= 1/2 onto +-T with half-weight ends; level m adds
+    the odd multiples of h0 2^-m, unweighted (ws None).  Sums scale by h0.
+    """
+    n0 = int(math.ceil(T / 0.5))
+    h0 = T / n0
+
+    def nodes(m):
+        if m == 0:
+            w = np.ones(2 * n0 + 1)
+            w[0] = w[-1] = 0.5
+            return gam + 1j * (np.arange(-n0, n0 + 1) * h0), w
+        n = n0 << m
+        return gam + 1j * (np.arange(-n + 1, n, 2) * (h0 * 0.5 ** m)), None
+
+    return nodes, None, h0
+
+
 def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     """Row-wise ``integrate_vertical_line`` on shared trapezoid nodes.
 
@@ -449,13 +482,13 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     integrands numbered ``rows`` (positions in ``abs_tols``) at the complex
     nodes ``s`` of the line.  It is asked only for open rows, and for at
     most 2^16 entries at a time.  Row i has its own abs_tol
-    ``abs_tols[i]``, tail check, stopping test and evaluation count, and
-    its sums run per row as scalars, so its value, error estimate and meta
-    are exactly those of ``integrate_vertical_line`` on it alone.  A row
-    whose tail fails its check gets, in place of a result, the
-    TailNotNegligible error the one-row rule raises.  rel_tol,
-    max_refinements and max_evals come from ``mb.quad`` and are shared;
-    double precision only.
+    ``abs_tols[i]``, tail check, stopping test and evaluation count (the
+    two tail nodes included), and its sums run along the row alone, so its
+    value, error estimate and meta are exactly those of
+    ``integrate_vertical_line`` on it alone.  A row whose tail fails its
+    check gets, in place of a result, the TailNotNegligible error the
+    one-row rule raises.  rel_tol, max_refinements and max_evals come from
+    ``mb.quad`` and are shared; double precision only.
     """
     spec = mb.quad
     gam = float(mb.gamma_abscissa)
@@ -471,49 +504,21 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
                 results[i] = _tail_error(tails[i], tols[i])
             else:
                 rows.append(i)
-    count = 2
-    total: list = [None] * len(tols)
-    err = [math.inf] * len(tols)
+    open_rows = np.array(rows, dtype=int)
 
-    def done(i: int, converged: bool) -> IntegralResult:
-        return _row_result(total[i], err[i], count, converged,
-                           {"rule": "trapezoid-line", "gamma": gam, "tail_cutoff": T,
-                            "tail_magnitude": tails[i]})
+    def S(s, w, at):
+        sums = [(vals if w is None else w * vals).sum(axis=1)
+                for _, vals in _row_blocks(G, s, open_rows[at].tolist())]
+        return np.concatenate(sums) / (2.0 * math.pi)
 
-    n0 = int(math.ceil(T / 0.5))
-    h0 = T / n0  # land nodes exactly on +-T
-    for m in range(0, spec.max_refinements + 1):
-        if not rows:
-            break
-        h = h0 * 0.5 ** m
-        if m == 0:
-            t = np.arange(-n0, n0 + 1) * h0
-            w = np.ones(t.size)
-            w[0] = w[-1] = 0.5
-        else:
-            n = int(round(T / h))
-            t = np.arange(-n + 1, n, 2) * h
-            if count + t.size > spec.max_evals:
-                break
-        for block, vals in _row_blocks(G, gam + 1j * t, rows):
-            for i, part in zip(block, (w * vals if m == 0 else vals).sum(axis=1)):
-                if m == 0:
-                    total[i] = h * part / (2.0 * math.pi)
-                else:
-                    prev_total = total[i]
-                    total[i] = 0.5 * prev_total + h * part / (2.0 * math.pi)
-                    err[i] = abs(total[i] - prev_total)
-        count += t.size
-        if m >= 2:
-            still_open = []
-            for i in rows:
-                if err[i] <= max(tols[i], spec.rel_tol * abs(total[i])):
-                    results[i] = done(i, True)
-                else:
-                    still_open.append(i)
-            rows = still_open
-    for i in rows:
-        results[i] = done(i, False)
+    # the two tail nodes count against the budget and in each row's evaluations
+    value, err, _, evals, converged = _refine_rows(
+        S, _trapezoid(gam, T), np.array([tols[i] for i in rows]), spec.rel_tol,
+        spec.max_refinements, spec.max_evals - 2)
+    for i, v, e, n, ok in zip(rows, value, err, evals.tolist(), converged.tolist()):
+        results[i] = _row_result(v, e, n + 2, ok,
+                                 {"rule": "trapezoid-line", "gamma": gam, "tail_cutoff": T,
+                                  "tail_magnitude": tails[i]})
     return results
 
 

@@ -39,7 +39,8 @@ from .quad import (
     DEFAULT_SPEC,
     MellinBarnesSpec,
     QuadSpec,
-    _tanh_sinh_rows,
+    _refine_rows,
+    _tanh_sinh,
     _ts_nodes,
     _TS_W0,
     integrate_finite,
@@ -460,8 +461,8 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
         return np.concatenate([np.vecdot(terms(zl[lo:lo + step], sl[lo:lo + step], u, log_u), w)
                                for lo in range(0, zl.size, step)])
 
-    total, change, _, _, converged = _tanh_sinh_rows(
-        node_sums, 0.0, 1.0, np.zeros(z.size), rel_tol, max_level)
+    total, change, _, _, converged = _refine_rows(
+        node_sums, _tanh_sinh(0.0, 1.0), np.zeros(z.size), rel_tol, max_level)
     if not converged.all():
         worst = (change / np.maximum(np.abs(total), 1e-300))[~converged].max()
         raise NonConvergence(f"cylinder integral stalled at relative change {worst:.2e}")

@@ -175,6 +175,22 @@ class TestTabularCommands:
             want += f"{n},{r.value:.17g},{r.error_bound:.17g}\n"
         assert out.read_bytes() == want.encode("utf-8")
 
+    def test_forward_grid_bytes_match_per_x_series(self, tmp_path):
+        # one array call over the grid; x below 0.05, in [0.05, 4) and past
+        # 4 sit on different contour abscissas
+        from diwt.transforms import CoefficientSeq, forward_series
+        xs = [0.01, 0.04, 0.3, 1, 2.5, 3.99, 4.0, 7.3, 12.0, 0.3]
+        cfg = {"mu": -0.25, "coefficients": [1.0, -0.5, 0.25], "x_grid": xs}
+        out = tmp_path / "fwd.csv"
+        assert run_cli(tmp_path, "forward", cfg, "--quiet", out=out) == 0
+        seq = CoefficientSeq((1.0, -0.5, 0.25))
+        want = "x,value\n" + "".join(
+            f"{float(x):.17g},{forward_series(seq, -0.25, float(x)):.17g}\n" for x in xs)
+        assert out.read_bytes() == want.encode("utf-8")
+        for bad in (0.0, -2.0):
+            cfg["x_grid"] = [1.0, bad, 3.0]
+            assert run_cli(tmp_path, "forward", cfg, "--quiet", name="bad.json") == 2
+
     def test_coeff_from_profile_closed_form(self, tmp_path, capsys):
         cfg = {"mu": 0.25, "psi": {"sine": [1.0]}, "n_range": [1, 2]}
         assert run_cli(tmp_path, "coeff", cfg) == 0

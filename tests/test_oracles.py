@@ -7,11 +7,13 @@ degenerate cases, and the reporting contract.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from scipy.special import erfc as sp_erfc
 from scipy.special import k0 as sp_k0
 
+from diwt import quad, specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from diwt.oracles import (CANONICAL_CASES, CHECK_IDS, CheckReport,
                           check_bessel_index_bound,
@@ -241,3 +243,36 @@ class TestCanonicalSets:
     def test_ids_registered(self):
         assert set(CANONICAL_CASES) <= set(CHECK_IDS)
         assert len(CHECK_IDS) == 8
+
+
+class TestContourCallsPerIntegrandCall:
+    @pytest.mark.parametrize("check, args", [
+        (check_whittaker_laplace_bessel, (0.25, 0.5j, 2.0)),
+        (check_whittaker_laplace_bessel, (0.1, 0.45 + 0.0j, 2.0)),
+        (check_iterated_inversion_route, (CoefficientSeq((1.0,)), 0.0, 1)),
+    ])
+    def test_one_line_integral_per_integrand_call_and_abscissa(self, monkeypatch,
+                                                               check, args):
+        # each call of a quadrature integrand on a node array opens a tally
+        # of the contour-W line integrals made inside it (innermost call
+        # first), keyed by (mu, index, abscissa)
+        open_calls, tallies = [], []
+        vec_call, line = quad._VecCall.__call__, specfun._w_contour_group
+
+        def spy_call(self, x):
+            open_calls.append(Counter())
+            try:
+                return vec_call(self, x)
+            finally:
+                tallies.append(open_calls.pop())
+
+        def spy_line(mu, rho, gamma, xs, spec):
+            if open_calls:
+                open_calls[-1][mu, rho, gamma] += 1
+            return line(mu, rho, gamma, xs, spec)
+
+        monkeypatch.setattr(quad._VecCall, "__call__", spy_call)
+        monkeypatch.setattr(specfun, "_w_contour_group", spy_line)
+        assert check(*args).passed
+        assert sum(sum(t.values()) for t in tallies) > 0
+        assert max(max(t.values(), default=0) for t in tallies) == 1

@@ -392,6 +392,67 @@ def test_line_rows_blocks_stay_under_cap(monkeypatch):
                                                   replace(mb, quad=replace(mb.quad, abs_tol=1e-12))))
 
 
+def test_line_level_zero_always_runs():
+    # T = 200 puts 801 nodes on level 0, past the smallest budget of 100;
+    # the budget applies from level 1 on, so level 0 (and the two tail
+    # nodes) run and the result is flagged, not empty
+    mb = MellinBarnesSpec(1.0, 200.0, QuadSpec(max_evals=100))
+    r = integrate_vertical_line(lambda s: sp.gamma(s) * 2.0 ** (-s), mb)
+    assert r.evaluations == 803
+    assert not r.converged
+    assert r.error_estimate == math.inf
+    assert abs(r.value - math.exp(-2.0)) < 1e-5
+    rows = integrate_vertical_line_rows(
+        lambda s, rows: sp.gamma(s) * np.exp(-s * np.log([2.0, 3.0])[rows, None]), mb,
+        [1e-14, 1e-14])
+    _same_result(rows[0], r)
+    assert [x.evaluations for x in rows] == [803, 803]
+
+
+# rows of Gamma(s) x^-s close at interleaved levels under LINE_MB
+LINE_ROW_XS = (0.5, 1.0, 2.0, 3.5)
+LINE_BUDGET_ROW, LINE_REFUSED_ROW = LINE_FUNCS[3], LINE_FUNCS[4]
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([None, None, 100, 5000]))
+def test_line_rows_property_each_row_equals_its_own_integral(n, seed, block):
+    # random rows and grid abs_tols, one row the budget ends and one whose
+    # tail is refused, at random places; some families run in small blocks
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, len(LINE_ROW_XS), n).tolist()
+    tols = (10.0 ** rng.integers(-15, -1, n).astype(float)).tolist()
+    funcs = [lambda s, x=LINE_ROW_XS[k]: sp.gamma(s) * x ** (-s) for k in which]
+    budget = int(rng.integers(n + 1))
+    funcs.insert(budget, LINE_BUDGET_ROW)
+    tols.insert(budget, 1e-9)
+    which.insert(budget, "budget")
+    refused = int(rng.integers(n + 2))
+    funcs.insert(refused, LINE_REFUSED_ROW)
+    tols.insert(refused, 1e-9)
+    which.insert(refused, "refused")
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(quad, "_LINE_BLOCK", block)
+        rows = integrate_vertical_line_rows(_family(funcs, []), LINE_MB, tols)
+    alone = {}
+    for k, g, tol, r in zip(which, funcs, tols, rows):
+        if (k, tol) not in alone:
+            try:
+                alone[k, tol] = _line_alone(g, tol)
+            except TailNotNegligible as e:
+                alone[k, tol] = e
+        if isinstance(alone[k, tol], TailNotNegligible):
+            assert isinstance(r, TailNotNegligible)
+            assert str(r) == str(alone[k, tol])
+        else:
+            _same_result(r, alone[k, tol])
+    assert isinstance(rows[refused], TailNotNegligible)
+    b = rows[budget if budget < refused else budget + 1]
+    assert not b.converged and b.evaluations == 2563
+
+
 def test_line_imaginary_part_reported():
     # conjugate-symmetric integrand: imaginary part must come back tiny
     mb = MellinBarnesSpec(gamma_abscissa=1.0)
