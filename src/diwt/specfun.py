@@ -12,8 +12,9 @@ on (alpha, z, rel_tol), never on the batch that holds it; callers may batch
 any points together without moving a value.
 
 The two Whittaker routes are deliberately kept separate: the contour route
-is the default evaluator, and the Bessel-Laplace route serves as an
-independent cross-check.  They share no quadrature path beyond the generic
+is the default evaluator, with a convergent Kummer series in its place at
+small x for imaginary second indices, and the Bessel-Laplace route serves
+as an independent cross-check.  They share no quadrature path beyond the generic
 engines in :mod:`diwt.quad`.
 """
 
@@ -670,6 +671,78 @@ def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: Quad
     return vals
 
 
+# The Kummer series below replaces the contour for x <= _W_SERIES_CUT.  Against
+# mpmath and relative to the envelope 2|A| sqrt(x) (tests/test_specfun.py,
+# tools/w_accuracy_map.py) it errs by about 1e-14 plus the rounding of the
+# phase tau ln x + arg A (5e-12 at tau = 64, x = 1e-300), which bounds tau
+# above; the contour errs as much from x ~ 1e-5 up to the cut, and stalls or
+# loses every digit below x ~ 1e-30.  At tau -> 0 the series' two conjugate
+# terms cancel (A has a pole there).  The mu range is the measured one; far
+# beyond it the terms grow before they fall (|1/2 - mu| x > 1).
+_W_SERIES_CUT = 0.05
+_W_SERIES_TAU = (0.5, 64.0)
+_W_SERIES_MU = 10.0
+
+
+def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -> np.ndarray:
+    """e^{-x/2} W_{mu, rho}(x) at every x of xs: the default double-precision route.
+
+    For rho = i tau with tau in _W_SERIES_TAU and |mu| <= _W_SERIES_MU, every
+    x <= _W_SERIES_CUT is summed from the Kummer series (``_w_series``);
+    every other x, and every x of any other (mu, rho), goes to
+    ``_w_contour_many``.  Both routes fix a value from (mu, rho, x, quad)
+    alone, so a value never depends on the batch that holds it.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if not (rho.real == 0.0 and _W_SERIES_TAU[0] <= rho.imag <= _W_SERIES_TAU[1]
+            and abs(mu) <= _W_SERIES_MU):
+        return _w_contour_many(mu, rho, xs, quad)
+    # x <= 0 and nan fail this test and are refused by the contour route
+    near = (xs > 0.0) & (xs <= _W_SERIES_CUT)
+    if not near.any():
+        return _w_contour_many(mu, rho, xs, quad)
+    if near.all():
+        return _w_series(mu, rho.imag, xs)
+    out = np.empty(xs.size)
+    out[near] = _w_series(mu, rho.imag, xs[near])
+    out[~near] = _w_contour_many(mu, rho, xs[~near], quad)
+    return out
+
+
+def _w_series(mu: float, tau: float, x: np.ndarray) -> np.ndarray:
+    """e^{-x/2} W_{mu, i tau}(x) by the convergent Kummer series, 0 < x <= _W_SERIES_CUT.
+
+    DLMF 13.14.33 with 13.14.2 gives, for real mu and tau > 0,
+    e^{-x/2} W = 2 e^{-x} sqrt(x) Re[A x^{i tau} M(1/2 + i tau - mu, 1 + 2 i tau, x)]
+    with A = Gamma(-2 i tau) / Gamma(1/2 - i tau - mu).  M is summed from a
+    fixed coefficient list per (mu, tau) (``_w_series_coeffs``), so each x
+    takes the same terms whatever its batch.
+    """
+    coeffs, log_2a = _w_series_coeffs(mu, tau)
+    return (np.exp(log_2a + complex(0.5, tau) * np.log(x) - x) * np.polyval(coeffs, x)).real
+
+
+@lru_cache(maxsize=64)
+def _w_series_coeffs(mu: float, tau: float) -> tuple[np.ndarray, complex]:
+    """Kummer coefficients of M(a, b, x), highest order first, and log(2A).
+
+    c_{k+1} = c_k (a + k) / ((b + k)(k + 1)) with a = 1/2 + i tau - mu and
+    b = 1 + 2 i tau; terms stop below 1e-18 of the largest at x = _W_SERIES_CUT.
+    """
+    a, b = complex(0.5 - mu, tau), complex(1.0, 2.0 * tau)
+    c = [1.0 + 0.0j]
+    big = 1.0
+    while abs(c[-1]) * _W_SERIES_CUT ** (len(c) - 1) > 1e-18 * big:
+        k = len(c) - 1
+        c.append(c[k] * (a + k) / ((b + k) * (k + 1)))
+        big = max(big, abs(c[-1]) * _W_SERIES_CUT ** (k + 1))
+    log_2a = complex(_sp.loggamma(complex(0.0, -2.0 * tau))
+                     - _sp.loggamma(complex(0.5 - mu, -tau))) + math.log(2.0)
+    coeffs = np.array(c[::-1])
+    coeffs.flags.writeable = False
+    return coeffs, log_2a
+
+
 def _w_mb_extended(mu: float, rho: complex, x: float, gamma: float | None,
                    dps: int, scaled: bool):
     import mpmath as mp
@@ -694,11 +767,15 @@ def _w_mb_extended(mu: float, rho: complex, x: float, gamma: float | None,
 
 def whittaker_w_mb(order: WhittakerOrder, x: float, gamma: float | None = None,
                    quad: QuadSpec = DEFAULT_SPEC, scaled: bool = False) -> float:
-    """Whittaker W_{mu, i tau}(x) by the Mellin-Barnes contour route.
+    """Whittaker W_{mu, i tau}(x), the default evaluator; no restriction on mu.
 
-    This is the default evaluator; it places no restriction on mu.  The
-    contour abscissa is chosen automatically from (mu, x) unless `gamma`
-    is supplied.  With scaled=True the value e^{-x/2} W is returned
+    In double precision with no `gamma` this is the transforms' evaluator
+    ``_w_scaled_many``: for 1/2 <= |tau| <= 64 and |mu| <= 10 every
+    x <= 0.05 is summed from the convergent Kummer series (DLMF 13.14.33),
+    and every other (mu, tau, x) is the Mellin-Barnes contour integral,
+    on an abscissa chosen from (mu, x).  A given `gamma` always takes the
+    contour on that abscissa, and extended precision takes mpmath's
+    contour quadrature.  With scaled=True the value e^{-x/2} W is returned
     instead, which is the form every transform in this package consumes.
     """
     xf = _positive(x, "whittaker_w_mb")
@@ -706,7 +783,10 @@ def whittaker_w_mb(order: WhittakerOrder, x: float, gamma: float | None = None,
     if quad.precision == "extended":
         # pass x through unconverted so mpf abscissae keep their digits
         return _w_mb_extended(order.mu, rho, x, gamma, quad.dps, scaled)
-    ex = _w_contour_general(float(order.mu), rho, xf, gamma=gamma, quad=quad)
+    if gamma is None:
+        ex = float(_w_scaled_many(float(order.mu), rho, [xf], quad)[0])
+    else:
+        ex = _w_contour_general(float(order.mu), rho, xf, gamma=gamma, quad=quad)
     return ex if scaled else ex * math.exp(0.5 * xf)
 
 

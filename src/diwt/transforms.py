@@ -51,7 +51,7 @@ from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
 from .specfun import _order_below_half, _positive, _positive_index, \
-    _w_contour_many, _w_mb_extended, gamma_abs_squared, parabolic_cylinder_d_scaled
+    _w_mb_extended, _w_scaled_many, gamma_abs_squared, parabolic_cylinder_d_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ class ForwardHandle(FunctionHandle):
                     flat[i] = self._eval_mp(_positive(t, "whittaker_w_mb"), quad.dps)
         else:
             for m, a in terms:
-                flat += a * _w_contour_many(self.mu, complex(0.0, m), arr, quad)
+                flat += a * _w_scaled_many(self.mu, complex(0.0, m), arr, quad)
         return out[()] if out.shape == () else out
 
     def _eval_mp(self, t, dps: int):
@@ -698,7 +698,7 @@ def _coefficients(f: FunctionHandle, mu: float, ns, quad: QuadSpec) -> list:
     # one many-x W call per open index; t^{mu-2} stays in the row function:
     # folded into p it moves the values in the last bit
     def H(ts, rows):
-        w = np.array([_w_contour_many(mu, complex(0.0, 0.5 * ns[i]), ts, pspec) for i in rows])
+        w = np.array([_w_scaled_many(mu, complex(0.0, 0.5 * ns[i]), ts, pspec) for i in rows])
         return w * f(ts, pspec) * np.array([t ** (mu - 2.0) for t in ts.tolist()])
 
     # decay probe at 0: t * integrand should fade as t -> 0; max over a few

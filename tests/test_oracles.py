@@ -276,3 +276,18 @@ class TestContourCallsPerIntegrandCall:
         assert check(*args).passed
         assert sum(sum(t.values()) for t in tallies) > 0
         assert max(max(t.values(), default=0) for t in tallies) == 1
+
+
+class TestContourRouteKeepsClearOfTheSeries:
+    def test_laplace_check_and_contour_never_reach_the_series(self, monkeypatch):
+        # the Whittaker-Laplace check audits the contour route, and its nodes
+        # reach t ~ 0.02, below the series cut: it must test the contour there
+        def refuse(mu, tau, x):
+            raise AssertionError("series reached")
+
+        monkeypatch.setattr(specfun, "_w_series", refuse)
+        with pytest.raises(AssertionError):
+            specfun._w_scaled_many(0.25, 0.5j, [1e-3])
+        specfun._w_contour_many(0.25, 0.5j, [1e-20, 1e-8, 1e-3, specfun._W_SERIES_CUT])
+        assert check_whittaker_laplace_bessel(0.25, 0.5j, 2.0).passed
+        assert check_whittaker_laplace_bessel(0.0, 1j, 0.5).passed

@@ -404,6 +404,100 @@ def test_w_contour_x_power_beyond_double_range_refused():
         whittaker_w_mb(WhittakerOrder(0.0, 1.0), 0.01, gamma=200.0)
 
 
+def _w_envelope(mu, tau, x):
+    # 2|A| sqrt(x), A = Gamma(-2i tau) / Gamma(1/2 - i tau - mu): the
+    # amplitude of the x^{+-i tau} oscillation of the scaled W at small x
+    log_a = sp.loggamma(complex(0.0, -2.0 * tau)) - sp.loggamma(complex(0.5 - mu, -tau))
+    return 2.0 * np.exp(log_a.real + 0.5 * np.log(x))
+
+
+@pytest.mark.parametrize("mu", [-10.0, -0.4, 0.0, 0.45, 2.0, 10.0])
+def test_w_series_accuracy_grid(mu):
+    # against mpmath relative to the envelope: 1e-14 plus the rounding of the
+    # phase tau ln x + arg A, which the series forms in double precision
+    import mpmath as mp
+
+    x = np.array([1e-300, 1e-100, 1e-30, 1e-12, 1e-5, 1e-3, specfun._W_SERIES_CUT])
+    eps = np.finfo(float).eps
+    for tau in (0.5, 1.0, 4.0, 16.0, 64.0):
+        with mp.workdps(40):
+            ref = np.array([float(mp.re(mp.whitw(mu, mp.mpc(0, tau), xi) * mp.exp(-xi / 2)))
+                            for xi in x])
+        phase = (tau * np.abs(np.log(x)) + abs(sp.loggamma(complex(0.0, -2.0 * tau)).imag)
+                 + abs(sp.loggamma(complex(0.5 - mu, -tau)).imag))
+        err = np.abs(specfun._w_series(mu, tau, x) - ref) / _w_envelope(mu, tau, x)
+        assert np.all(err <= 1e-14 + 4.0 * eps * phase), (tau, err)
+
+
+@pytest.mark.parametrize("mu", [-0.4, 0.0, 0.25, 0.45])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 4.0])
+def test_w_series_meets_contour_at_cut(mu, tau):
+    # the cut is summed by the series, the next double out by the contour;
+    # at mu = 2 the contour itself errs by up to 5e-13 of the envelope here
+    cut = specfun._W_SERIES_CUT
+    rho = complex(0.0, tau)
+    x = np.array([cut, np.nextafter(cut, 1.0)])
+    inner, outer = specfun._w_scaled_many(mu, rho, x)
+    assert inner == specfun._w_series(mu, tau, x[:1])[0]
+    assert outer == specfun._w_contour_many(mu, rho, x[1:])[0]
+    assert abs(inner - specfun._w_contour_many(mu, rho, x[:1])[0]) \
+        <= 1e-13 * _w_envelope(mu, tau, cut)
+    assert abs(outer - inner) <= 1e-13 * _w_envelope(mu, tau, cut)
+
+
+def test_w_default_route_takes_series_only_in_its_range(monkeypatch):
+    # below the cut, in double precision with no abscissa, tau in
+    # [1/2, 64] and |mu| <= 10 take the series; every other request reaches
+    # the contour or mpmath with the value it had before the series existed
+    def refuse(mu, tau, x):
+        raise AssertionError("series reached")
+
+    x = 1e-3
+    order = WhittakerOrder(0.25, 1.0)
+    monkeypatch.setattr(specfun, "_w_series", refuse)
+    with pytest.raises(AssertionError):
+        whittaker_w_mb(order, x)
+    def outcome(call, *args, **kwargs):
+        # the value, or the refusal (mu = 10.5 stalls on the contour here)
+        try:
+            return call(*args, **kwargs)
+        except NonConvergence as e:
+            return str(e)
+
+    for mu, tau in ((0.25, 0.4999), (0.25, 64.5), (10.5, 1.0), (-10.5, 1.0)):
+        got = outcome(whittaker_w_mb, WhittakerOrder(mu, tau), x, scaled=True)
+        assert got == outcome(specfun._w_contour_general, mu, complex(0.0, tau), x)
+    rho = complex(0.45, 0.0)
+    assert specfun._w_scaled_many(0.1, rho, [x])[0] == specfun._w_contour_general(0.1, rho, x)
+    got = whittaker_w_mb(order, x, gamma=0.5, scaled=True)
+    assert got == specfun._w_contour_general(0.25, 1j, x, gamma=0.5)
+    monkeypatch.setattr(specfun, "_w_mb_extended", lambda *args: "mpmath")
+    assert whittaker_w_mb(order, x, quad=QuadSpec(precision="extended", dps=20)) == "mpmath"
+    # above the cut the contour serves every order
+    assert whittaker_w_mb(order, 0.06, scaled=True) == specfun._w_contour_general(0.25, 1j, 0.06)
+
+
+_W_BATCH_X = st.one_of(st.floats(-40.0, 1.5).map(lambda e: 10.0 ** e),
+                       st.sampled_from([0.05, float(np.nextafter(0.05, 1.0))]))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(mu=st.floats(-0.45, 0.45), tau=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       xs=st.lists(_W_BATCH_X, min_size=1, max_size=12),
+       cut=st.integers(0, 11), seed=st.integers(0, 2 ** 32 - 1))
+def test_w_value_independent_of_batch(mu, tau, xs, cut, seed):
+    # the series takes a fixed term list per (mu, tau) and the contour stops
+    # each x on its own, so a batch changes no value, on either side of the
+    # cut or straddling it
+    rho = complex(0.0, tau)
+    x = np.array(xs)
+    alone = np.array([specfun._w_scaled_many(mu, rho, [xi])[0] for xi in xs])
+    assert np.array_equal(specfun._w_scaled_many(mu, rho, x), alone)
+    perm = np.random.default_rng(seed).permutation(x.size)
+    assert np.array_equal(specfun._w_scaled_many(mu, rho, x[perm]), alone[perm])
+    assert np.array_equal(specfun._w_scaled_many(mu, rho, x[cut:]), alone[cut:])
+
+
 def test_w_reduces_to_k_route_bessel():
     got = whittaker_w_bessel(WhittakerOrder(0.0, 1.0), 2.0)
     assert abs(got - math.sqrt(2.0 / math.pi) * bessel_k_imag(1.0, 1.0)) < 1e-11

@@ -265,6 +265,19 @@ class TestInversion:
             n * math.sinh(2.0 * math.pi * n), rel=1e-15)
         assert r.meta["mass_estimate"] >= 1.0
 
+    @pytest.mark.parametrize("coeffs, mu, ns", [
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 0.0, [6]),
+        ((0.0, 0.0, 0.0, 1.0), 0.45, [4]),
+        ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5), 0.0, [1, 8]),
+    ])
+    def test_round_trip_through_tiny_x(self, coeffs, mu, ns):
+        # the outer rule evaluates f down to x ~ 2.5e-33, where the contour
+        # integral for W stalled and these inversions raised NonConvergence
+        seq = CoefficientSeq(coeffs)
+        rs = invert_many(ForwardHandle(seq, mu), TransformParams(mu), ns)
+        for n, r in zip(ns, rs):
+            assert abs(r.value - seq.value_at(n)) <= r.error_bound
+
     def test_kl_route_consistent_with_general(self):
         f = ForwardHandle(CoefficientSeq((1.0,)), 0.0)
         ra = invert_series(f, TransformParams(0.0), 1)
