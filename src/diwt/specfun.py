@@ -14,8 +14,8 @@ any points together without moving a value.
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, with a convergent Kummer series in its place at
 small x for imaginary second indices, and the Bessel-Laplace route serves
-as an independent cross-check.  They share no quadrature path beyond the generic
-engines in :mod:`diwt.quad`.
+as an independent cross-check.  They share no quadrature path beyond the
+generic engines in :mod:`diwt.quad`.
 """
 
 from __future__ import annotations

@@ -457,8 +457,9 @@ def test_w_default_route_takes_series_only_in_its_range(monkeypatch):
     monkeypatch.setattr(specfun, "_w_series", refuse)
     with pytest.raises(AssertionError):
         whittaker_w_mb(order, x)
+
     def outcome(call, *args, **kwargs):
-        # the value, or the refusal (mu = 10.5 stalls on the contour here)
+        # the value, or the refusal: at mu = 10.5 the contour stalls here
         try:
             return call(*args, **kwargs)
         except NonConvergence as e:
@@ -473,7 +474,7 @@ def test_w_default_route_takes_series_only_in_its_range(monkeypatch):
     assert got == specfun._w_contour_general(0.25, 1j, x, gamma=0.5)
     monkeypatch.setattr(specfun, "_w_mb_extended", lambda *args: "mpmath")
     assert whittaker_w_mb(order, x, quad=QuadSpec(precision="extended", dps=20)) == "mpmath"
-    # above the cut the contour serves every order
+    # above the cut every order takes the contour
     assert whittaker_w_mb(order, 0.06, scaled=True) == specfun._w_contour_general(0.25, 1j, 0.06)
 
 

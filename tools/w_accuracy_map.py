@@ -6,8 +6,8 @@ series leaf (``specfun._w_series``) and of the Mellin-Barnes contour
 divided by the small-x envelope 2|A| sqrt(x), A = Gamma(-2i tau) /
 Gamma(1/2 - i tau - mu).  The envelope is the amplitude of the x^{+-i tau}
 oscillation, so the ratio stays meaningful at the zeros of W.  A contour
-cell reads ``raise(k)`` when k of its x raised a DiwtError; the worst error
-is then over the rest.  Cells are limited to x <= 0.05, the series cut.
+cell reads ``raise(k)`` when k of its x raised a DiwtError.  The last cell
+ends at the series cut, x = 0.05, included.
 
 Run from the repository root (about a minute on one core):
 
@@ -57,12 +57,14 @@ def cells(mu: float, tau: float):
             except DiwtError:
                 raised += 1
                 continue
-            contour = max(contour, abs(v - r) / e)
+            with np.errstate(over="ignore"):  # a wrong contour value may exceed 1e308 envelopes
+                contour = max(contour, abs(v - r) / e)
         yield series, (f"raise({raised})" if raised else f"{contour:.0e}")
 
 
 def main() -> None:
     heads = [f"[{lo:.0e},{hi:.0e})" for lo, hi in zip(EDGES[:-1], EDGES[1:])]
+    heads[-1] = heads[-1][:-1] + "]"
     print("worst |value - mpmath| / (2|A| sqrt x), series / contour, by x decade")
     print(f"| mu | tau | {' | '.join(heads)} |")
     print("| --- | --- |" + " --- |" * len(heads))
