@@ -179,13 +179,13 @@ def check_bessel_laplace_transform(n: int, u: float,
     spec = _integration_spec(quad)
     ch = math.cosh(u)
 
-    def g_low(v: float) -> float:
-        t = math.exp(-v)
-        return math.exp(-t * ch) * bessel_k_imag(float(n), t, spec) * t
+    def g_low(v):
+        t = np.exp(-v)
+        return np.exp(-t * ch) * bessel_k_imag(float(n), t, spec) * t
 
-    def g_high(s: float) -> float:
+    def g_high(s):
         t = 1.0 + s
-        return math.exp(-t * ch) * bessel_k_imag(float(n), t, spec)
+        return np.exp(-t * ch) * bessel_k_imag(float(n), t, spec)
 
     r1 = integrate_finite(g_low, 0.0, 40.0, spec)
     r2 = integrate_semi_infinite(g_high, 1.0 / (1.0 + ch), spec)
@@ -377,15 +377,16 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     ospec = QuadSpec(abs_tol=outer_tol, rel_tol=1e-8,
                      max_refinements=11, max_evals=quad.max_evals)
 
-    def h_low(v: float) -> float:
-        x = math.exp(-v)
-        return x ** (1.0 - 2.0 * mu) * incomplete_bessel_j(x, 2 * n) \
-            * laplace_of_f(x)
+    def h_of(xs: list, power: float):
+        # x and x**power as Python floats, one J call for every x
+        return np.array([x ** power for x in xs]) * incomplete_bessel_j(np.array(xs), 2 * n) \
+            * np.array([laplace_of_f(x) for x in xs])
 
-    def h_high(s: float) -> float:
-        x = 1.0 + s
-        return x ** (-2.0 * mu) * incomplete_bessel_j(x, 2 * n) \
-            * laplace_of_f(x)
+    def h_low(v):
+        return h_of([math.exp(-vi) for vi in v.tolist()], 1.0 - 2.0 * mu)
+
+    def h_high(s):
+        return h_of([1.0 + si for si in s.tolist()], -2.0 * mu)
 
     r1 = integrate_finite(h_low, 0.0, v_out, ospec)
     r2 = integrate_semi_infinite(h_high, 0.6, ospec)

@@ -6,10 +6,11 @@ functions of negative order, the Whittaker W function by two independent
 routes (a Mellin-Barnes contour integral and a Bessel-Laplace integral),
 and a finite-range incomplete Bessel integral.
 
-The cylinder quadrature is a row-wise tanh-sinh integral with a row per z
-point, summed as one dot product per row, so a cylinder value depends only
-on (alpha, z, rel_tol), never on the batch that holds it; callers may batch
-any points together without moving a value.
+K_{i tau}, the incomplete Bessel integral and the cylinder quadrature are
+row-wise tanh-sinh integrals on quad's one refinement loop, with a row per
+x or z point, so a value depends only on its own arguments and tolerances,
+never on the batch that holds it; callers may batch any points together
+without moving a value.
 
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, with a convergent Kummer series in its place at
@@ -42,9 +43,8 @@ from .quad import (
     QuadSpec,
     _refine_rows,
     _tanh_sinh,
-    _ts_nodes,
-    _TS_W0,
     integrate_finite,
+    integrate_finite_rows,
     integrate_semi_infinite,
     integrate_vertical_line_rows,
 )
@@ -119,6 +119,15 @@ def _positive(x, what: str, name: str = "x") -> float:
     return x
 
 
+def _positive_points(x, what: str) -> tuple[np.ndarray, tuple]:
+    """x as a flat float array and its shape; DomainError unless every x is finite and > 0."""
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        _positive(x[bad][0], what)
+    return x.reshape(-1), x.shape
+
+
 def _order_below_half(mu, what: str, error: type = OrderError) -> float:
     """mu as a float; `error` (OrderError by default) unless mu is finite and < 1/2."""
     mu = float(mu)
@@ -181,15 +190,17 @@ def erfcx(x):
 # modified Bessel functions of imaginary order
 # ---------------------------------------------------------------------------
 
-def bessel_k_imag(tau: float, x: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
-    """Modified Bessel function of purely imaginary order, K_{i tau}(x).
+def bessel_k_imag(tau: float, x, quad: QuadSpec = DEFAULT_SPEC):
+    """Modified Bessel function of purely imaginary order, K_{i tau}(x), vectorized over x.
 
     Computed from the cosh-form Laplace integral of e^{-x cosh s} cos(tau s)
     over the positive half-line, truncated where the exponential factor
-    drops below eps * e^{-x} with eps = abs_tol / 10.  Even in tau by
-    construction (only |tau| enters).
+    drops below eps * e^{-x} with eps = abs_tol / 10.  Each x is a row of
+    one row integral on its own interval rescaled to (0, 1), so its value
+    is that of a one-x call whatever the batch.  Even in tau by
+    construction (only |tau| enters).  Extended precision takes mpmath.
     """
-    x = _positive(x, "bessel_k_imag")
+    xs, shape = _positive_points(x, "bessel_k_imag")
     tau = abs(float(tau))
     if not math.isfinite(tau):
         raise DomainError(f"bessel_k_imag requires a finite order, got {tau}")
@@ -197,18 +208,27 @@ def bessel_k_imag(tau: float, x: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
         import mpmath as mp
 
         with mp.workdps(int(quad.dps)):
-            return mp.re(mp.besselk(mp.mpc(0, tau), mp.mpf(x)))
+            vals = [mp.re(mp.besselk(mp.mpc(0, tau), mp.mpf(xi))) for xi in xs.tolist()]
+        return vals[0] if shape == () else np.array(vals, dtype=object).reshape(shape)
 
     eps = quad.abs_tol / 10.0
-    s_star = math.acosh(1.0 + (math.log(1.0 / eps) + math.log1p(1.0 / x)) / x)
-    r = integrate_finite(
-        lambda s: np.exp(-x * np.cosh(s)) * np.cos(tau * s), 0.0, s_star, quad
-    )
-    if not r.converged:
-        raise NonConvergence(
-            f"K_(i{tau})({x}) quadrature stalled at error {r.error_estimate:.2e}"
-        )
-    return float(r.value)
+    s_star = np.arccosh(1.0 + (math.log(1.0 / eps) + np.log1p(1.0 / xs)) / xs)
+    neg_x = -xs[:, None]
+
+    def F(u, rows):
+        # every row while none has stopped, without an indexed copy
+        nx, sl = (neg_x, s_star) if len(rows) == xs.size else (neg_x[rows], s_star[rows])
+        s = np.multiply.outer(sl, u)
+        return np.exp(nx * np.cosh(s)) * np.cos(tau * s)
+
+    rs = integrate_finite_rows(F, 0.0, 1.0, quad.abs_tol / s_star, quad)
+    for xi, si, r in zip(xs.tolist(), s_star.tolist(), rs):
+        if not r.converged:
+            raise NonConvergence(
+                f"K_(i{tau})({xi}) quadrature stalled at error {si * r.error_estimate:.2e}"
+            )
+    vals = s_star * np.array([r.value for r in rs])
+    return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
 def bessel_k0(x: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
@@ -252,76 +272,35 @@ def _k_imag_series(sigma: float, t):
     return -math.pi * np.imag(ivals) / math.sinh(math.pi * sigma)
 
 
-# Level cap of the cylinder quadrature and of the K batch's own loop (it
-# stops the whole batch at once), and the K batch's relative-change target.
-_BATCH_MAX_LEVEL = 9
-_K_BATCH_REL_TOL = 1e-13
-
-
-def _k_imag_batch(sigma: float, t):
-    """K_{i sigma}(t_j) for an array of t >= ~1 on a shared cosh grid."""
-    t = np.asarray(t, dtype=float)
-    tmin = float(t.min())
-    eps = 1e-17
-    s_star = math.acosh(1.0 + (math.log(1.0 / eps) + math.log1p(1.0 / tmin)) / tmin)
-    c = 0.5 * s_star
-
-    def eval_nodes(s):
-        return np.exp(-t[:, None] * np.cosh(s)[None, :]) * np.cos(sigma * s)[None, :]
-
-    total = None
-    diff = math.inf
-    for m in range(0, _BATCH_MAX_LEVEL + 1):
-        h = 0.5 ** m
-        delta, ww = _ts_nodes(m)
-        sl = c * delta
-        sr = s_star - c * delta
-        kl = sl > 0.0
-        kr = sr < s_star
-        ss = np.concatenate([sl[kl], sr[kr]])
-        wss = np.concatenate([ww[kl], ww[kr]])
-        part = eval_nodes(ss) @ wss
-        if m == 0:
-            mid = eval_nodes(np.array([0.5 * s_star]))[:, 0]
-            total = c * h * (part + _TS_W0 * mid)
-        else:
-            prev = total
-            total = 0.5 * prev + c * h * part
-            if m >= 2:
-                # uniform metric: small entries are summed downstream, so
-                # only changes relative to the batch scale matter
-                diff = float(np.max(np.abs(total - prev))
-                             / max(float(np.max(np.abs(total))), 1e-300))
-                if diff <= _K_BATCH_REL_TOL:
-                    return total
-    if diff > 100.0 * _K_BATCH_REL_TOL:
-        raise NonConvergence(
-            f"shared-grid Bessel batch stalled at relative change {diff:.2e}"
-        )
-    return total
-
-
-def incomplete_bessel_j(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> float:
+def incomplete_bessel_j(x, n: int, quad: QuadSpec = DEFAULT_SPEC):
     """Finite-range Bessel-type integral of e^{-x cosh u} cos(n u) over [0, pi].
 
-    An integration by parts turns it into (x/n) times the companion sine
+    Vectorized over x, one row integral per x as for ``bessel_k_imag``.  An
+    integration by parts turns it into (x/n) times the companion sine
     form; `_incomplete_bessel_j_by_parts` evaluates that form so the two
     can be checked against each other.
     """
-    x = _positive(x, "incomplete_bessel_j")
+    xs, shape = _positive_points(x, "incomplete_bessel_j")
     n = _positive_index(n, "incomplete_bessel_j index n")
     if quad.precision == "extended":
         import mpmath as mp
 
         with mp.workdps(int(quad.dps)):
-            return mp.quad(lambda u: mp.exp(-x * mp.cosh(u)) * mp.cos(n * u),
-                           [0, mp.pi])
-    r = integrate_finite(
-        lambda u: np.exp(-x * np.cosh(u)) * np.cos(n * u), 0.0, math.pi, quad
-    )
-    if not r.converged:
+            vals = [mp.quad(lambda u: mp.exp(-xi * mp.cosh(u)) * mp.cos(n * u), [0, mp.pi])
+                    for xi in xs.tolist()]
+        return vals[0] if shape == () else np.array(vals, dtype=object).reshape(shape)
+
+    neg_x = -xs[:, None]
+
+    def F(u, rows):
+        nx = neg_x if len(rows) == xs.size else neg_x[rows]
+        return np.exp(nx * np.cosh(u)) * np.cos(n * u)
+
+    rs = integrate_finite_rows(F, 0.0, math.pi, np.full(xs.size, quad.abs_tol), quad)
+    if not all(r.converged for r in rs):
         raise NonConvergence("incomplete Bessel integral did not converge")
-    return float(r.value)
+    vals = np.array([r.value for r in rs], dtype=float)
+    return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
 def _incomplete_bessel_j_by_parts(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> float:
@@ -353,6 +332,8 @@ _CYL_SERIES_ALPHA_MAX = 3.0
 # Below this alpha the quadrature stalls on the s^(alpha-1) endpoint
 # singularity; for z > 1/2 the order recurrence replaces it.
 _CYL_RECURRENCE_ALPHA = 0.1
+# Level cap of the cylinder quadrature.
+_CYL_MAX_LEVEL = 9
 
 
 def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
@@ -390,11 +371,11 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     up = rest & (z > _CYL_SERIES_RADIUS) & (alpha < _CYL_RECURRENCE_ALPHA)
     if up.any():
         zu = z[up]
-        vals[up] = zu * _cyl_quadrature(alpha + 1.0, zu, rel_tol, _BATCH_MAX_LEVEL) \
-            + (alpha + 1.0) * _cyl_quadrature(alpha + 2.0, zu, rel_tol, _BATCH_MAX_LEVEL)
+        vals[up] = zu * _cyl_quadrature(alpha + 1.0, zu, rel_tol, _CYL_MAX_LEVEL) \
+            + (alpha + 1.0) * _cyl_quadrature(alpha + 2.0, zu, rel_tol, _CYL_MAX_LEVEL)
         rest &= ~up
     if rest.any():
-        vals[rest] = _cyl_quadrature(alpha, z[rest], rel_tol, _BATCH_MAX_LEVEL)
+        vals[rest] = _cyl_quadrature(alpha, z[rest], rel_tol, _CYL_MAX_LEVEL)
     return float(vals[0]) if scalar else vals
 
 
@@ -820,21 +801,33 @@ def _w_bessel_extended(mu: float, tau: float, x: float, dps: int, scaled: bool):
         return base * mp.exp(-xx) if scaled else base * mp.exp(-xx / 2)
 
 
+# Tolerances of the K values under the Bessel-Laplace route's upper piece.
+_K_SPEC = QuadSpec(abs_tol=1e-16, rel_tol=1e-13, max_refinements=9)
+# Largest |tau| the route takes in double precision: its roundoff is divided
+# by |Gamma(1/2 - mu + i tau)|^2 ~ e^{-pi tau}.  Its worst error against
+# mpmath is 1.1e-9 at tau = 4, 1.5e-8 at 4.25 and 9e-6 at 4.5.
+_W_BESSEL_TAU_MAX = 4.25
+
+
 def whittaker_w_bessel(order: WhittakerOrder, x: float,
                        quad: QuadSpec = DEFAULT_SPEC, scaled: bool = False) -> float:
     """Whittaker W_{mu, i tau}(x) by the Bessel-Laplace integral route.
 
-    Valid for mu < 1/2 only.  The integration over t splits at t = 1: the
-    lower piece is mapped by v = -log t so its logarithmic oscillation
-    becomes linear (the series evaluator for K handles the tiny arguments),
-    while the upper piece uses a shared cosh-grid for K across all
-    quadrature nodes.
+    Valid for mu < 1/2 only, and in double precision for |tau| <= 4.25.
+    The integration over t splits at t = 1: the lower piece is mapped by
+    v = -log t so its logarithmic oscillation becomes linear (the series
+    evaluator for K handles the tiny arguments), while the upper piece
+    takes K at all the nodes of a level in one ``bessel_k_imag`` call.
     """
     x = _positive(x, "whittaker_w_bessel")
     mu = _order_below_half(order.mu, "the Bessel-Laplace route", DomainError)
     tau = abs(float(order.tau))
     if quad.precision == "extended":
         return _w_bessel_extended(mu, tau, x, quad.dps, scaled)
+    if tau > _W_BESSEL_TAU_MAX:
+        raise PrecisionBudgetExceeded(
+            f"the Bessel-Laplace route resolves |tau| <= {_W_BESSEL_TAU_MAX} in double "
+            f"precision, got {tau}")
 
     sigma = 2.0 * tau
     inv4x = 0.25 / x
@@ -858,8 +851,7 @@ def whittaker_w_bessel(order: WhittakerOrder, x: float,
     t_max = 2.0 * math.sqrt(x * math.log(1e17)) + 2.0
 
     def f_high(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return t ** (-2.0 * mu) * np.exp(-t * t * inv4x) * _k_imag_batch(sigma, t)
+        return t ** (-2.0 * mu) * np.exp(-t * t * inv4x) * bessel_k_imag(sigma, t, _K_SPEC)
 
     r2 = integrate_finite(f_high, 1.0, t_max, piece_spec)
     if not (r1.converged and r2.converged):

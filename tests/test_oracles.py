@@ -13,7 +13,7 @@ import pytest
 from scipy.special import erfc as sp_erfc
 from scipy.special import k0 as sp_k0
 
-from diwt import quad, specfun
+from diwt import oracles, quad, specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from diwt.oracles import (CANONICAL_CASES, CHECK_IDS, CheckReport,
                           check_bessel_index_bound,
@@ -276,6 +276,40 @@ class TestContourCallsPerIntegrandCall:
         assert check(*args).passed
         assert sum(sum(t.values()) for t in tallies) > 0
         assert max(max(t.values(), default=0) for t in tallies) == 1
+
+
+class TestBesselCallsPerIntegrandCall:
+    @pytest.mark.parametrize("check, args, name", [
+        (check_bessel_laplace_transform, (2, 1.0), "bessel_k_imag"),
+        (check_iterated_inversion_route, (CoefficientSeq((1.0,)), 0.0, 1), "incomplete_bessel_j"),
+    ])
+    def test_one_bessel_call_per_integrand_call(self, monkeypatch, check, args, name):
+        # each call of a quadrature integrand on a node array opens a tally
+        # of the K (or J) calls made inside it, innermost call first; no
+        # integrand may fall back to one call per node
+        open_calls, tallies, scalar = [], [], []
+        vec_call, bessel = quad._VecCall.__call__, getattr(oracles, name)
+
+        def spy_call(self, x):
+            open_calls.append(0)
+            try:
+                return vec_call(self, x)
+            finally:
+                tallies.append(open_calls.pop())
+                if self.vectorized is False:
+                    scalar.append(self.f)
+
+        def spy_bessel(*args, **kwargs):
+            if open_calls:
+                open_calls[-1] += 1
+            return bessel(*args, **kwargs)
+
+        monkeypatch.setattr(quad._VecCall, "__call__", spy_call)
+        monkeypatch.setattr(oracles, name, spy_bessel)
+        assert check(*args).passed
+        assert not scalar
+        assert sum(tallies) > 0
+        assert max(tallies) == 1
 
 
 class TestContourRouteKeepsClearOfTheSeries:

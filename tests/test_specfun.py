@@ -201,8 +201,9 @@ def test_k_imag_domain():
     lambda: parabolic_cylinder_d_scaled(1.5, -math.inf),
     lambda: parabolic_cylinder_d_scaled(1.5, math.nan),
     lambda: parabolic_cylinder_d_scaled(1.5, np.array([0.3, 2.0, math.nan])),
+    lambda: bessel_k_imag(1.0, np.array([0.3, 2.0, math.nan])),
 ], ids=["k-tau-inf", "k-tau-neginf", "k-tau-nan", "d-z-inf", "d-z-neginf", "d-z-nan",
-        "d-z-nan-in-batch"])
+        "d-z-nan-in-batch", "k-x-nan-in-batch"])
 def test_nonfinite_argument_refused_before_integrating(call):
     # refused up front: no quadrature, no numpy RuntimeWarning on the way
     with pytest.raises(DomainError):
@@ -216,6 +217,46 @@ def test_k_imag_bound_sampled():
         tau = float(rng.uniform(0.0, 6.0))
         d = float(rng.uniform(0.0, math.pi / 2 - 0.05))
         assert abs(bessel_k_imag(tau, x)) <= math.exp(-d * tau) * bessel_k0(x * math.cos(d)) + 1e-12
+
+
+def test_k_imag_accuracy_grid():
+    # the cosh integrand's scale is K_0(x), so its roundoff is counted in
+    # ulps of K_0(x); near tau = 8 the value itself is ~1e-6 of that scale.
+    # Past x ~ 25, K_0(x) nears the default abs_tol and rows stop on it.
+    import mpmath as mp
+
+    x = np.geomspace(1e-3, 20.0, 25)
+    ulp = np.spacing(sp.k0(x))
+    for tau in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+        with mp.workdps(30):
+            ref = np.array([float(mp.re(mp.besselk(mp.mpc(0, tau), mp.mpf(xi)))) for xi in x])
+        assert np.max(np.abs(bessel_k_imag(tau, x) - ref) / ulp) <= 8.0
+
+
+# each case: a call f(order, x) and the log-spaced x range it is checked
+# on; the series is a private array routine, so alone is one x in an array
+_K_J_BATCH = {
+    "k": (bessel_k_imag, 1e-3, 30.0),
+    "k-series": (lambda p, x: specfun._k_imag_series(2.0 * p, np.atleast_1d(x)), 1e-12, 1.0),
+    "j": (lambda p, x: incomplete_bessel_j(x, 1 + int(p)), 1e-3, 30.0),
+}
+
+
+@pytest.mark.parametrize("case", _K_J_BATCH)
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(p=st.floats(0.0, 6.0), us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       cut=st.integers(0, 11), seed=st.integers(0, 2 ** 32 - 1))
+def test_k_and_j_value_independent_of_batch(case, p, us, cut, seed):
+    # K and J stop each x on its own and sum it along its own nodes, and
+    # the series for K stops only below the last bit of every value, so a
+    # batch changes no value: alone, shuffled or sliced
+    f, lo, hi = _K_J_BATCH[case]
+    x = lo * (hi / lo) ** np.array(us)
+    alone = np.array([np.ravel(f(p, xi))[0] for xi in x.tolist()])
+    assert np.array_equal(f(p, x), alone)
+    perm = np.random.default_rng(seed).permutation(x.size)
+    assert np.array_equal(f(p, x[perm]), alone[perm])
+    assert np.array_equal(f(p, x[cut:]), alone[cut:])
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +625,16 @@ def test_w_domain_errors():
         whittaker_w_bessel(WhittakerOrder(0.0, 1.0), -2.0)
     with pytest.raises(DomainError):
         whittaker_w_bessel(WhittakerOrder(0.5, 1.0), 1.0)
+
+
+def test_w_bessel_refuses_beyond_its_tau_range():
+    # past tau = 4.25 the route's roundoff leaves fewer than eight digits
+    top = specfun._W_BESSEL_TAU_MAX
+    contour = whittaker_w_mb(WhittakerOrder(0.25, top), 1.0)
+    assert abs(whittaker_w_bessel(WhittakerOrder(0.25, top), 1.0) - contour) <= 1e-7 * abs(contour)
+    for tau in (np.nextafter(top, 5.0), -4.5, 6.0):
+        with pytest.raises(PrecisionBudgetExceeded):
+            whittaker_w_bessel(WhittakerOrder(0.25, tau), 1.0)
 
 
 def test_order_types_validate():
