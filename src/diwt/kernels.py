@@ -45,8 +45,8 @@ import numpy as np
 from . import __version__ as _tool_version
 from .errors import DiwtError, DomainError, NonConvergence
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
-from .specfun import ComplexIndex, _order_below_half, _positive, _positive_index, erfcx, \
-    parabolic_cylinder_d_scaled
+from .specfun import ComplexIndex, _cyl_profile, _order_below_half, _positive, _positive_index, \
+    erfcx, parabolic_cylinder_d_scaled
 
 __all__ = [
     "KernelKind",
@@ -104,10 +104,11 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
     The rows of one row-wise u-integral are the (x, index) pairs.  The
     profile (scaled cylinder function, or scaled erfc for ERFC_COS) does
     not depend on the index, so each u level makes one profile call on
-    outer(sqrt(2x), cosh u) for the x with an open row, and only the
-    trigonometric factor is formed per index.  ``specs`` holds one
-    QuadSpec per index; they may differ in abs_tol only.  Returns, per x,
-    one (value, error_estimate, converged) per index.
+    outer(sqrt(2x), cosh u) for the x with an open row (cylinder D once
+    per distinct cosh u), and only the trigonometric factor is formed per
+    index.  ``specs`` holds one QuadSpec per index; they may differ in
+    abs_tol only.  Returns, per x, one (value, error_estimate, converged)
+    per index.
 
     Cylinder D stops each z point on its own and sums each point along its
     own nodes, and the row rule sums each row alone, so every entry equals
@@ -140,8 +141,7 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
         alpha = 1.0 - 2.0 * mu
 
         def profile(at, u):
-            return parabolic_cylinder_d_scaled(
-                alpha, np.multiply.outer(root2x[at], np.cosh(u)), rel_tol=inner)
+            return _cyl_profile(alpha, root2x[at], u, inner)
 
         def wave(nu, u):
             return np.cos(2.0 * (nu.real if nu.imag == 0.0 else nu) * u)
@@ -150,8 +150,7 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
         alpha = 2.0 - 2.0 * mu
 
         def profile(at, u):
-            return parabolic_cylinder_d_scaled(
-                alpha, np.multiply.outer(root2x[at], np.cosh(u)), rel_tol=inner) * np.sinh(u)
+            return _cyl_profile(alpha, root2x[at], u, inner) * np.sinh(u)
 
         def wave(nu, u):
             return np.sin(nu.real * u)

@@ -10,7 +10,16 @@ K_{i tau}, the incomplete Bessel integral and the cylinder quadrature are
 row-wise tanh-sinh integrals on quad's one refinement loop, with a row per
 x or z point, so a value depends only on its own arguments and tolerances,
 never on the batch that holds it; callers may batch any points together
-without moving a value.
+without moving a value.  K and the incomplete Bessel integral carry their
+e^{-x} factor outside the integral, so they keep relative accuracy at
+large x.
+
+The scaled cylinder function e^{z^2/4} D_{-alpha}(z) takes one of four
+paths per point: the Maclaurin series at |z| <= 1/2 (alpha <= 3), the
+enveloping large-z series (DLMF 12.9.1) from an edge Z0(alpha) of about
+9-12 on, the order recurrence for alpha < 0.1, and the quadrature for the
+rest.  Kernel and profile integrals evaluate it on outer(r, cosh u) once
+per distinct cosh u (``_cyl_profile``).
 
 The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, with a convergent Kummer series in its place at
@@ -194,10 +203,12 @@ def bessel_k_imag(tau: float, x, quad: QuadSpec = DEFAULT_SPEC):
     """Modified Bessel function of purely imaginary order, K_{i tau}(x), vectorized over x.
 
     Computed from the cosh-form Laplace integral of e^{-x cosh s} cos(tau s)
-    over the positive half-line, truncated where the exponential factor
-    drops below eps * e^{-x} with eps = abs_tol / 10.  Each x is a row of
-    one row integral on its own interval rescaled to (0, 1), so its value
-    is that of a one-x call whatever the batch.  Even in tau by
+    over the positive half-line as e^{-x} times the integral of
+    e^{-2x sinh^2(s/2)} cos(tau s), whose integrand starts at 1 whatever x,
+    so large x keeps its relative accuracy; the integral is truncated where
+    the exponential factor drops below eps = abs_tol / 10.  Each x is a row
+    of one row integral on its own interval rescaled to (0, 1), so its
+    value is that of a one-x call whatever the batch.  Even in tau by
     construction (only |tau| enters).  Extended precision takes mpmath.
     """
     xs, shape = _positive_points(x, "bessel_k_imag")
@@ -213,13 +224,13 @@ def bessel_k_imag(tau: float, x, quad: QuadSpec = DEFAULT_SPEC):
 
     eps = quad.abs_tol / 10.0
     s_star = np.arccosh(1.0 + (math.log(1.0 / eps) + np.log1p(1.0 / xs)) / xs)
-    neg_x = -xs[:, None]
+    neg_2x = -2.0 * xs[:, None]
 
     def F(u, rows):
         # every row while none has stopped, without an indexed copy
-        nx, sl = (neg_x, s_star) if len(rows) == xs.size else (neg_x[rows], s_star[rows])
+        nx, sl = (neg_2x, s_star) if len(rows) == xs.size else (neg_2x[rows], s_star[rows])
         s = np.multiply.outer(sl, u)
-        return np.exp(nx * np.cosh(s)) * np.cos(tau * s)
+        return np.exp(nx * np.sinh(0.5 * s) ** 2) * np.cos(tau * s)
 
     rs = integrate_finite_rows(F, 0.0, 1.0, quad.abs_tol / s_star, quad)
     for xi, si, r in zip(xs.tolist(), s_star.tolist(), rs):
@@ -227,7 +238,7 @@ def bessel_k_imag(tau: float, x, quad: QuadSpec = DEFAULT_SPEC):
             raise NonConvergence(
                 f"K_(i{tau})({xi}) quadrature stalled at error {si * r.error_estimate:.2e}"
             )
-    vals = s_star * np.array([r.value for r in rs])
+    vals = np.exp(-xs) * s_star * np.array([r.value for r in rs])
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -275,7 +286,9 @@ def _k_imag_series(sigma: float, t):
 def incomplete_bessel_j(x, n: int, quad: QuadSpec = DEFAULT_SPEC):
     """Finite-range Bessel-type integral of e^{-x cosh u} cos(n u) over [0, pi].
 
-    Vectorized over x, one row integral per x as for ``bessel_k_imag``.  An
+    Vectorized over x, one row integral per x as for ``bessel_k_imag``, and
+    like it summed as e^{-x} times the integral of e^{-2x sinh^2(u/2)}
+    cos(n u), which keeps its relative accuracy at large x.  An
     integration by parts turns it into (x/n) times the companion sine
     form; `_incomplete_bessel_j_by_parts` evaluates that form so the two
     can be checked against each other.
@@ -290,16 +303,16 @@ def incomplete_bessel_j(x, n: int, quad: QuadSpec = DEFAULT_SPEC):
                     for xi in xs.tolist()]
         return vals[0] if shape == () else np.array(vals, dtype=object).reshape(shape)
 
-    neg_x = -xs[:, None]
+    neg_2x = -2.0 * xs[:, None]
 
     def F(u, rows):
-        nx = neg_x if len(rows) == xs.size else neg_x[rows]
-        return np.exp(nx * np.cosh(u)) * np.cos(n * u)
+        nx = neg_2x if len(rows) == xs.size else neg_2x[rows]
+        return np.exp(nx * np.sinh(0.5 * u) ** 2) * np.cos(n * u)
 
     rs = integrate_finite_rows(F, 0.0, math.pi, np.full(xs.size, quad.abs_tol), quad)
     if not all(r.converged for r in rs):
         raise NonConvergence("incomplete Bessel integral did not converge")
-    vals = np.array([r.value for r in rs], dtype=float)
+    vals = np.exp(-xs) * np.array([r.value for r in rs], dtype=float)
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -340,16 +353,25 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     """exp(z^2/4) D_{-alpha}(z) for alpha > 0, vectorized over z.
 
     The value is 1/Gamma(alpha) times the integral of
-    s^(alpha-1) e^{-s^2/2 - z s} over s > 0 (DLMF 12.5.1).  For
-    |z| <= 1/2 and alpha <= 3 it is summed from the Maclaurin series of
-    that integral in z, to full double precision whatever `rel_tol`.
-    For z > 1/2 and alpha < 0.1 it is z D(alpha+1) + (alpha+1) D(alpha+2)
-    in this notation (DLMF 12.8.1), two positive terms with no cancellation.
-    Every other point goes through a per-point truncated and rescaled
-    unit interval, so a single tanh-sinh grid serves all of them at once;
-    the scaling keeps everything inside double range for all z >= 0 and
-    moderately negative z.  Each point stops at its own level, so its
-    value is that of a one-point call bit for bit, whatever the batch.
+    s^(alpha-1) e^{-s^2/2 - z s} over s > 0 (DLMF 12.5.1).  Four paths
+    serve it, tried in this order:
+
+    * |z| <= 1/2 and alpha <= 3: the Maclaurin series of that integral in
+      z, to full double precision whatever `rel_tol`;
+    * z >= Z0(alpha) (about 9 at alpha = 1, 10 at 3, 12.25 at 11): the
+      large-z series z^-alpha sum_k (-1)^k (alpha)_{2k} / (k! (2z^2)^k)
+      (DLMF 12.9.1), which envelops the value, cut where its first omitted
+      term is at most 2^-56 (see `_cyl_leaf_coeffs`);
+    * z > 1/2 and alpha < 0.1: z D(alpha+1) + (alpha+1) D(alpha+2) in this
+      notation (DLMF 12.8.1), two positive terms with no cancellation;
+    * every other point: a per-point truncated and rescaled unit interval,
+      so a single tanh-sinh grid serves all of them at once; the scaling
+      keeps everything inside double range for all z >= 0 and moderately
+      negative z.
+
+    Each point takes its path and, on the quadrature, stops at its own
+    level, so its value is that of a one-point call bit for bit, whatever
+    the batch.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -367,7 +389,13 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
         zn = z[near]
         w = zn * zn
         vals[near] = np.polyval(even, w) + zn * np.polyval(odd, w)
-    rest = ~near
+    z0, leaf = _cyl_leaf_coeffs(alpha)
+    far = ~near & (z >= z0)
+    if far.any():
+        zf = z[far]
+        w = z0 / zf
+        vals[far] = zf ** -alpha * np.polyval(leaf, w * w)
+    rest = ~(near | far)
     up = rest & (z > _CYL_SERIES_RADIUS) & (alpha < _CYL_RECURRENCE_ALPHA)
     if up.any():
         zu = z[up]
@@ -377,6 +405,17 @@ def parabolic_cylinder_d_scaled(alpha: float, z, rel_tol: float = 1e-14):
     if rest.any():
         vals[rest] = _cyl_quadrature(alpha, z[rest], rel_tol, _CYL_MAX_LEVEL)
     return float(vals[0]) if scalar else vals
+
+
+def _cyl_profile(alpha: float, r: np.ndarray, u: np.ndarray, rel_tol: float) -> np.ndarray:
+    """parabolic_cylinder_d_scaled(alpha, outer(r, cosh u), rel_tol), once per distinct column.
+
+    Every tanh-sinh node below about 1.5e-8 rounds cosh u to 1.0, so a level
+    repeats columns; a value depends only on (alpha, z, rel_tol), so the
+    distinct columns gathered back give the direct call bit for bit.
+    """
+    c, back = np.unique(np.cosh(u), return_inverse=True)
+    return parabolic_cylinder_d_scaled(alpha, np.multiply.outer(r, c), rel_tol)[:, back]
 
 
 @lru_cache(maxsize=64)
@@ -399,6 +438,43 @@ def _cyl_series_coeffs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     even, odd = np.array(c[0::2][::-1]), np.array(c[1::2][::-1])
     even.flags.writeable = odd.flags.writeable = False
     return even, odd
+
+
+# The large-z series stops once its first omitted term, relative to the
+# leading term z^-alpha, is at most this.
+_CYL_LEAF_TOL = 2.0 ** -56
+
+
+@lru_cache(maxsize=64)
+def _cyl_leaf_coeffs(alpha: float) -> tuple[float, np.ndarray]:
+    """Edge Z0 and coefficients of the large-z series of exp(z^2/4) D_{-alpha}(z).
+
+    Expanding e^{-s^2/2} in the integral gives z^-alpha sum_k t_k with
+    t_k = (-1)^k (alpha)_{2k} / (k! (2z^2)^k), so t_{k+1} = -t_k (alpha+2k)
+    (alpha+2k+1) / (2(k+1) z^2).  The Taylor partial sums of e^{-s^2/2}
+    alternately lie above and below it and the weight s^(alpha-1) e^{-zs}
+    is positive, so the error of a partial sum is at most its first omitted
+    term.  Z0 is the smallest multiple of 1/4, and at least alpha + 1/2,
+    at which |t_k| falls to _CYL_LEAF_TOL before the terms turn to grow;
+    the floor keeps |t_1| <= 1/2, so the alternating sum stays above 1/2.
+    Every term shrinks as z grows, so the terms at Z0 up to the first one
+    below the tolerance (omitted) serve every z >= Z0, as a polynomial in
+    (Z0/z)^2 running from the highest order down (polyval).
+    """
+    z0 = math.ceil(4.0 * alpha + 2.0) / 4.0
+    while True:
+        c = [1.0]
+        while abs(c[-1]) > _CYL_LEAF_TOL:
+            k = len(c) - 1
+            ratio = (alpha + 2 * k) / z0 * ((alpha + 2 * k + 1) / z0) / (2 * k + 2)
+            if ratio >= 1.0:
+                break
+            c.append(-c[-1] * ratio)
+        else:
+            coeffs = np.array(c[-2::-1])
+            coeffs.flags.writeable = False
+            return z0, coeffs
+        z0 += 0.25
 
 
 # Most entries (points x nodes) the cylinder quadrature forms at once:

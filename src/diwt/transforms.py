@@ -50,7 +50,7 @@ from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval
     cylinder_sin_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from .specfun import _order_below_half, _positive, _positive_index, \
+from .specfun import _cyl_profile, _order_below_half, _positive, _positive_index, \
     _w_mb_extended, _w_scaled_many, gamma_abs_squared, parabolic_cylinder_d_scaled
 
 
@@ -236,10 +236,10 @@ class ProfileHandle(FunctionHandle):
         """f at every x, as ``function_from_profile`` gives it, in one row-wise u-integral.
 
         The rows are the x; each u level makes one cylinder call on
-        outer(sqrt(2x), cosh u) for the x still open.  Cylinder D and the
-        row rule keep every point and row independent of the batch, so
-        each value is the one-x value bit for bit.  Extended precision
-        runs one x at a time.
+        outer(sqrt(2x), cosh u) for the x still open, once per distinct
+        cosh u.  Cylinder D and the row rule keep every point and row
+        independent of the batch, so each value is the one-x value bit for
+        bit.  Extended precision runs one x at a time.
         """
         arr = np.asarray(x, dtype=float)
         xs = arr.reshape(-1)
@@ -263,8 +263,7 @@ class ProfileHandle(FunctionHandle):
         inner = _inner_rel_tol(quad)
 
         def h(u, rows):
-            return parabolic_cylinder_d_scaled(
-                alpha, np.multiply.outer(root2x[rows], np.cosh(u)), rel_tol=inner) \
+            return _cyl_profile(alpha, root2x[rows], u, inner) \
                 * np.sinh(u) * self.profile.odd_sine_part(u)
 
         rs = integrate_finite_rows(h, 0.0, math.pi, [quad.abs_tol] * xs.size, quad)

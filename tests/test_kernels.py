@@ -1,11 +1,12 @@
 """Kernel tests: reductions, index relations, overflow safety, tables."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from diwt import kernels
+from diwt import kernels, specfun
 from diwt.errors import DomainError, OrderError
 from diwt.kernels import (
     KernelKind,
@@ -15,8 +16,9 @@ from diwt.kernels import (
     erfc_cos_kernel,
     _cylinder_sin_kernel_full_range,
 )
-from diwt.quad import QuadSpec
-from diwt.specfun import ComplexIndex, parabolic_cylinder_d_scaled
+from diwt.quad import QuadSpec, _level_nodes
+from diwt.specfun import ComplexIndex, _cyl_profile, parabolic_cylinder_d_scaled
+from diwt.transforms import FourierPolynomial, ProfileHandle
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,46 @@ def test_many_x_equals_one_x_calls(kind, mu, ns):
         if kind is not KernelKind.CYLINDER_COS:
             # a real family: each row is also its own one-index integral
             assert got == [kernels._kernel_eval(kind, mu, n, x, q) for n, q in zip(ns, specs)]
+
+
+# each case evaluates cylinder profiles at several x on shared u levels
+_CYL_PROFILE_CALLERS = {
+    "cos": lambda xs: kernels._kernel_eval_many(
+        KernelKind.CYLINDER_COS, 0.25, [1, 2], xs, [QuadSpec()] * 2),
+    "sin": lambda xs: kernels._kernel_eval_many(
+        KernelKind.CYLINDER_SIN, -0.5, [1, 3], xs, [QuadSpec()] * 2),
+    "profile": lambda xs: ProfileHandle(FourierPolynomial((1.0, -0.5)), 0.25)(np.array(xs)),
+}
+
+
+@pytest.mark.parametrize("caller", _CYL_PROFILE_CALLERS)
+def test_cylinder_profile_calls_repeat_no_point(caller):
+    # tanh-sinh nodes near u = 0 round cosh u to 1.0; each distinct point
+    # goes to cylinder D once per call, and nothing else changes
+    calls = []
+
+    def spy(alpha, z, rel_tol=1e-14):
+        calls.append(np.array(z))
+        return parabolic_cylinder_d_scaled(alpha, z, rel_tol)
+
+    xs = [0.3, 1.7, 5.0, 40.0]
+    direct = _CYL_PROFILE_CALLERS[caller](xs)
+    with mock.patch.object(specfun, "parabolic_cylinder_d_scaled", spy):
+        spied = _CYL_PROFILE_CALLERS[caller](xs)
+    assert len(calls) > 3
+    for z in calls:
+        assert np.unique(z).size == z.size
+    assert np.array_equal(np.asarray(spied), np.asarray(direct))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 4.5])
+@pytest.mark.parametrize("level", [0, 3, 6])
+def test_cylinder_profile_equals_direct_call(alpha, level):
+    u, _ = _level_nodes(0.0, math.pi, level)
+    assert np.unique(np.cosh(u)).size < u.size
+    r = np.sqrt(2.0 * np.array([1e-3, 0.3, 2.0, 30.0, 800.0]))
+    direct = parabolic_cylinder_d_scaled(alpha, np.multiply.outer(r, np.cosh(u)), 1e-15)
+    assert np.array_equal(_cyl_profile(alpha, r, u, 1e-15), direct)
 
 
 def test_query_validation():

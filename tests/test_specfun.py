@@ -16,6 +16,7 @@ from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line
 from diwt.specfun import (
     ComplexIndex,
     WhittakerOrder,
+    _cyl_leaf_coeffs,
     _cyl_quadrature,
     bessel_k0,
     bessel_k_imag,
@@ -222,7 +223,6 @@ def test_k_imag_bound_sampled():
 def test_k_imag_accuracy_grid():
     # the cosh integrand's scale is K_0(x), so its roundoff is counted in
     # ulps of K_0(x); near tau = 8 the value itself is ~1e-6 of that scale.
-    # Past x ~ 25, K_0(x) nears the default abs_tol and rows stop on it.
     import mpmath as mp
 
     x = np.geomspace(1e-3, 20.0, 25)
@@ -231,6 +231,25 @@ def test_k_imag_accuracy_grid():
         with mp.workdps(30):
             ref = np.array([float(mp.re(mp.besselk(mp.mpc(0, tau), mp.mpf(xi)))) for xi in x])
         assert np.max(np.abs(bessel_k_imag(tau, x) - ref) / ulp) <= 8.0
+
+
+@pytest.mark.parametrize("x", (25.0, 30.0, 60.0, 100.0))
+def test_k_and_j_keep_relative_accuracy_at_large_x(x):
+    # both are summed as e^{-x} times an integrand that starts at 1, so
+    # they stay accurate to a few ulps where K_0(x) falls below abs_tol
+    import mpmath as mp
+
+    with mp.workdps(40):
+        xx = mp.mpf(x)
+        for tau in (0.0, 1.0, 4.0):
+            ref = float(mp.re(mp.besselk(mp.mpc(0, tau), xx)))
+            assert abs(bessel_k_imag(tau, x) - ref) <= 4.0 * np.spacing(ref), tau
+        # mpmath's own quadrature needs the scaled form and split points here
+        for n in (1, 2, 5):
+            j = mp.exp(-xx) * mp.quad(lambda u: mp.exp(-2 * xx * mp.sinh(u / 2) ** 2)
+                                      * mp.cos(n * u), mp.linspace(0, 1, 21) + [2, mp.pi])
+            ref = float(j)
+            assert abs(incomplete_bessel_j(x, n) - ref) <= 4.0 * np.spacing(ref), n
 
 
 # each case: a call f(order, x) and the log-spaced x range it is checked
@@ -391,6 +410,71 @@ def test_cylinder_batch_with_one_stalled_point_raises():
         _cyl_quadrature(0.04, np.array([-1.0, 30.0, 10.0, -1.0]), tol, 9)
     assert str(batch.value) == str(lone.value)
     assert "relative change 2.8" in str(batch.value)
+
+
+def _cyl_reference(alpha, z):
+    import mpmath as mp
+
+    with mp.workdps(30):
+        return np.array([float(mp.exp(mp.mpf(zi) ** 2 / 4) * mp.pcfd(-alpha, mp.mpf(zi)))
+                         for zi in z])
+
+
+def test_cylinder_leaf_edge_is_the_smallest_quarter():
+    # Z0 is the first quarter (from alpha + 1/2 on) where a term of the
+    # large-z series falls to 2^-56, and the leaf keeps the terms before it
+    def log_term(alpha, k, z):
+        return (math.lgamma(alpha + 2 * k) - math.lgamma(alpha) - math.lgamma(k + 1)
+                - k * math.log(2.0 * z * z))
+
+    tol = math.log(2.0 ** -56)
+    for alpha, want in ((1.0, 9.0), (3.0, 10.0), (11.0, 12.25)):
+        z0, coeffs = _cyl_leaf_coeffs(alpha)
+        assert z0 == want
+        assert log_term(alpha, coeffs.size, z0) <= tol < log_term(alpha, coeffs.size - 1, z0)
+        assert min(log_term(alpha, k, z0 - 0.25) for k in range(1, 200)) > tol
+    for alpha in (0.001, 0.1, 0.5, 2.0, 6.0, 30.0):
+        z0, coeffs = _cyl_leaf_coeffs(alpha)
+        assert z0 >= alpha + 0.5 and abs(coeffs[-2]) <= 0.5
+
+
+# alphas 0.001..11 and, per alpha, z from its leaf edge to 1e4
+CYL_LEAF_ALPHAS = tuple(np.geomspace(0.001, 11.0, 30).tolist()) + (0.05, 0.1, 1.0, 2.0, 3.0)
+
+
+def test_cylinder_leaf_accuracy_grid():
+    # within 2 ulp of mpmath at every point, and per alpha no worse than
+    # the path it replaced: the order recurrence below alpha = 0.1, the
+    # quadrature from there on
+    for alpha in CYL_LEAF_ALPHAS:
+        z0, _ = _cyl_leaf_coeffs(alpha)
+        z = np.geomspace(z0, 1e4, 60)
+        ref = _cyl_reference(alpha, z)
+        ulp = np.spacing(ref)
+        with mock.patch.object(specfun, "_cyl_quadrature", side_effect=AssertionError):
+            leaf = np.abs(parabolic_cylinder_d_scaled(alpha, z, rel_tol=1e-15) - ref) / ulp
+        if alpha < 0.1:
+            old = z * _cyl_quadrature(alpha + 1.0, z, 1e-15, 9) \
+                + (alpha + 1.0) * _cyl_quadrature(alpha + 2.0, z, 1e-15, 9)
+        else:
+            old = _cyl_quadrature(alpha, z, 1e-15, 9)
+        assert leaf.max() <= 2.0, alpha
+        assert leaf.max() <= max(np.max(np.abs(old - ref) / ulp), 1.0), alpha
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.25, 1.0, 2.0, 3.0))
+def test_cylinder_scaled_continuous_at_leaf_edge(alpha):
+    # Z0 is summed by the large-z series, the next double in by the
+    # recurrence (alpha < 0.1) or the quadrature
+    z0, _ = _cyl_leaf_coeffs(alpha)
+    inside = np.nextafter(z0, 0.0)
+    with mock.patch.object(specfun, "_cyl_quadrature", side_effect=AssertionError):
+        outer = parabolic_cylinder_d_scaled(alpha, z0)
+    with pytest.raises(AssertionError):
+        with mock.patch.object(specfun, "_cyl_quadrature", side_effect=AssertionError):
+            parabolic_cylinder_d_scaled(alpha, inside)
+    inner = parabolic_cylinder_d_scaled(alpha, inside)
+    assert abs(outer - inner) <= 4e-15 * inner
 
 
 # ---------------------------------------------------------------------------
