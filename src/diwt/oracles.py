@@ -91,14 +91,12 @@ def check_whittaker_laplace_bessel(mu: float, rho: complex, x: float,
     by quadrature on the contour-route evaluator; rhs is the closed form
     2 (x/2)^(2 mu - 1) K(2 rho; x) through the independent Bessel
     evaluators (imaginary order by the cosh integral, real order by
-    scipy).  The second index may be purely real or purely imaginary.
+    scipy).  The second index may be purely real or purely imaginary; the
+    contour route raises OrderError for any other.
     """
     mu = float(mu)
     x = _positive(x, "check")
     rho = complex(rho)
-    if rho.real != 0.0 and rho.imag != 0.0:
-        raise DomainError(
-            f"second index must be purely real or purely imaginary, got {rho}")
     spec = _integration_spec(quad)
 
     # the contour route at second index |rho| (whittaker_w_mb's route for i tau)

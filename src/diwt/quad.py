@@ -13,6 +13,8 @@ Three entry points cover every integral that appears downstream:
 * ``integrate_vertical_line`` -- progressive trapezoid rule along a vertical
   line Re(s) = gamma, for Mellin-type integrands that are analytic in a strip
   and decay at both ends.  The trapezoid rule converges geometrically there.
+  Its one level generator runs on t in [0, T]; each node t stands for the
+  line's nodes gamma + it and gamma - it, folded into one sum.
 
 All three also come row-wise (``integrate_finite_rows``,
 ``integrate_semi_infinite_rows``, ``integrate_vertical_line_rows``): a
@@ -24,6 +26,9 @@ the nodes each level adds.  The loop asks its caller for each open row's
 weighted node sum: ``integrate_finite_rows`` sums pairwise, which keeps
 oscillating integrands accurate, and the cylinder function of
 :mod:`diwt.specfun` runs on the tanh-sinh rule with a faster dot product.
+Contour W in :mod:`diwt.specfun` runs on the trapezoid rule with real row
+sums of its own: its integrand at gamma - it is the conjugate of that at
+gamma + it, so the line integral is the real part of the [0, T] half.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -404,10 +409,11 @@ def integrate_vertical_line(g, mb: MellinBarnesSpec) -> IntegralResult:
     This is the (1/2*pi*i) contour integral of g along the vertical line
     after the substitution s = gamma + i t.  g must be analytic in a strip
     around the line and small at t = +-T; if |g| at the endpoints exceeds
-    the absolute tolerance a TailNotNegligible error is raised.  The value
-    is returned with its imaginary part intact so callers can assert
-    realness where symmetry demands it.  In double precision this is the
-    one-row case of ``integrate_vertical_line_rows``.
+    the absolute tolerance a TailNotNegligible error is raised.  g may be
+    any such function: the value is returned with its imaginary part
+    intact, so callers can check realness where symmetry demands it.  In
+    double precision this is the one-row case of
+    ``integrate_vertical_line_rows``.
     """
     spec = mb.quad
     gv = _VecCall(g)
@@ -455,24 +461,34 @@ def _row_blocks(G, s: np.ndarray, rows: list):
                                        for lo in range(0, s.size, _LINE_BLOCK)], axis=1)
 
 
-def _trapezoid(gam: float, T: float):
-    """The trapezoid rule on s = gam + i t, |t| <= T, as ``_refine_rows`` takes it.
+def _trapezoid(T: float):
+    """The trapezoid rule on t in [0, T], as ``_refine_rows`` takes it.
 
-    Level 0 steps by h0 <= 1/2 onto +-T with half-weight ends; level m adds
-    the odd multiples of h0 2^-m, unweighted (ws None).  Sums scale by h0.
+    Level 0 steps by h0 <= 1/2 from 0 onto T with half-weight ends; level m
+    adds the odd multiples of h0 2^-m, unweighted (ws None).  Sums scale by
+    h0.  A line integral over [-T, T] folds onto it: the node t stands for
+    gamma + it and gamma - it, and t = 0 for gamma alone.
     """
     n0 = int(math.ceil(T / 0.5))
     h0 = T / n0
 
     def nodes(m):
         if m == 0:
-            w = np.ones(2 * n0 + 1)
+            w = np.ones(n0 + 1)
             w[0] = w[-1] = 0.5
-            return gam + 1j * (np.arange(-n0, n0 + 1) * h0), w
-        n = n0 << m
-        return gam + 1j * (np.arange(-n + 1, n, 2) * (h0 * 0.5 ** m)), None
+            return np.arange(n0 + 1) * h0, w
+        return np.arange(1, n0 << m, 2) * (h0 * 0.5 ** m), None
 
     return nodes, None, h0
+
+
+def _line_budget(max_evals: float) -> float:
+    """The node budget of ``_refine_rows`` on ``_trapezoid`` for a line of max_evals evaluations.
+
+    Every node t > 0 is evaluated twice (at gamma +- it), t = 0 once, and
+    the two tail nodes gamma +- iT count too.
+    """
+    return (max_evals - 1) / 2
 
 
 def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
@@ -481,14 +497,16 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     ``G(s, rows)`` returns an array of shape (len(rows), len(s)): the
     integrands numbered ``rows`` (positions in ``abs_tols``) at the complex
     nodes ``s`` of the line.  It is asked only for open rows, and for at
-    most 2^16 entries at a time.  Row i has its own abs_tol
-    ``abs_tols[i]``, tail check, stopping test and evaluation count (the
-    two tail nodes included), and its sums run along the row alone, so its
-    value, error estimate and meta are exactly those of
-    ``integrate_vertical_line`` on it alone.  A row whose tail fails its
-    check gets, in place of a result, the TailNotNegligible error the
-    one-row rule raises.  rel_tol, max_refinements and max_evals come from
-    ``mb.quad`` and are shared; double precision only.
+    most 2^16 entries at a time.  The rule is ``_trapezoid`` on [0, T] with
+    each node t folded from G at gamma + it and gamma - it, which is the
+    trapezoid rule on [-T, T]: the same nodes of the line, evaluated once
+    each.  Row i has its own abs_tol ``abs_tols[i]``, tail check, stopping
+    test and evaluation count (the two tail nodes included), and its sums
+    run along the row alone, so its value, error estimate and meta are
+    exactly those of ``integrate_vertical_line`` on it alone.  A row whose
+    tail fails its check gets, in place of a result, the TailNotNegligible
+    error the one-row rule raises.  rel_tol, max_refinements and max_evals
+    come from ``mb.quad`` and are shared; double precision only.
     """
     spec = mb.quad
     gam = float(mb.gamma_abscissa)
@@ -506,17 +524,24 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
                 rows.append(i)
     open_rows = np.array(rows, dtype=int)
 
-    def S(s, w, at):
-        sums = [(vals if w is None else w * vals).sum(axis=1)
-                for _, vals in _row_blocks(G, s, open_rows[at].tolist())]
+    def S(t, w, at):
+        # G at gamma + it for every t, then at gamma - it for t > 0; t = 0
+        # (first at level 0) is evaluated once and taken twice
+        k = int(t[0] == 0.0)
+        up = gam + 1j * t
+        s = np.concatenate([up, up[k:].conj()])
+        down = np.r_[:k, t.size:s.size]
+        sums = []
+        for _, vals in _row_blocks(G, s, open_rows[at].tolist()):
+            f = vals[:, :t.size] + vals[:, down]
+            sums.append((f if w is None else w * f).sum(axis=1))
         return np.concatenate(sums) / (2.0 * math.pi)
 
-    # the two tail nodes count against the budget and in each row's evaluations
-    value, err, _, evals, converged = _refine_rows(
-        S, _trapezoid(gam, T), np.array([tols[i] for i in rows]), spec.rel_tol,
-        spec.max_refinements, spec.max_evals - 2)
-    for i, v, e, n, ok in zip(rows, value, err, evals.tolist(), converged.tolist()):
-        results[i] = _row_result(v, e, n + 2, ok,
+    value, err, _, count, converged = _refine_rows(
+        S, _trapezoid(T), np.array([tols[i] for i in rows]), spec.rel_tol,
+        spec.max_refinements, _line_budget(spec.max_evals))
+    for i, v, e, n, ok in zip(rows, value, err, count.tolist(), converged.tolist()):
+        results[i] = _row_result(v, e, 2 * n + 1, ok,
                                  {"rule": "trapezoid-line", "gamma": gam, "tail_cutoff": T,
                                   "tail_magnitude": tails[i]})
     return results

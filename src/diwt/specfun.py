@@ -31,6 +31,7 @@ generic engines in :mod:`diwt.quad`.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,19 +44,19 @@ from .errors import (
     OrderError,
     PoleError,
     PrecisionBudgetExceeded,
-    RealnessViolation,
     TailNotNegligible,
 )
 from .quad import (
     DEFAULT_SPEC,
-    MellinBarnesSpec,
     QuadSpec,
+    _line_budget,
     _refine_rows,
+    _tail_error,
     _tanh_sinh,
+    _trapezoid,
     integrate_finite,
     integrate_finite_rows,
     integrate_semi_infinite,
-    integrate_vertical_line_rows,
 )
 
 __all__ = [
@@ -317,15 +318,17 @@ def incomplete_bessel_j(x, n: int, quad: QuadSpec = DEFAULT_SPEC):
 
 
 def _incomplete_bessel_j_by_parts(x: float, n: int, quad: QuadSpec = DEFAULT_SPEC) -> float:
+    # (x/n) e^{-x} times the integral of e^{-2x sinh^2(u/2)} sinh u sin(n u),
+    # which carries no e^{-x}, so the absolute tolerance keeps large x relative
     x = float(x)
     n = int(n)
     r = integrate_finite(
-        lambda u: np.exp(-x * np.cosh(u)) * np.sinh(u) * np.sin(n * u),
+        lambda u: np.exp(-2.0 * x * np.sinh(0.5 * u) ** 2) * np.sinh(u) * np.sin(n * u),
         0.0, math.pi, quad,
     )
     if not r.converged:
         raise NonConvergence("by-parts incomplete Bessel integral did not converge")
-    return (x / n) * float(r.value)
+    return (x / n) * math.exp(-x) * float(r.value)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +562,9 @@ class _ContourFactor:
     The factor Gamma(1/2+rho+s) Gamma(1/2-rho+s) / Gamma(1-mu+s) depends
     only on (mu, rho, gamma), so its values at the trapezoid grids can be
     reused across every x evaluated on the same contour.  x enters only
-    through x^{-s}, recomputed per call.
+    through x^{-s}, recomputed per call.  For real mu and rho real or
+    imaginary the factor at gamma - it is the conjugate of that at
+    gamma + it, so only t >= 0 is ever asked for.
     """
 
     def __init__(self, mu: float, rho: complex, gamma: float):
@@ -567,7 +572,7 @@ class _ContourFactor:
         self.rho = rho
         self.gamma = gamma
         self._cache: dict[bytes, np.ndarray] = {}
-        self._tail_T: float | None = None
+        self._tail: tuple[float, float] | None = None
         self._peak: float | None = None
 
     def factor(self, s):
@@ -594,11 +599,12 @@ class _ContourFactor:
             self._peak = float(abs(self.factor(np.array([complex(self.gamma)]))[0]))
         return self._peak
 
-    def tail_cutoff(self) -> float:
+    def tail(self) -> tuple[float, float]:
+        """(T, |factor| at gamma + iT): where the line is cut, and what is cut there."""
         # |x^{-s}| is constant along the contour, so the truncation point
         # depends only on the gamma-factor decay
-        if self._tail_T is not None:
-            return self._tail_T
+        if self._tail is not None:
+            return self._tail
         p0 = self.peak()
         T = 16.0
         # for large |tau| the integrand peaks near |t| = |tau| and may
@@ -606,28 +612,38 @@ class _ContourFactor:
         while T < 2.0 * abs(self.rho):
             T *= 2.0
         while T <= 4096.0:
-            ends = self.factor(np.array([self.gamma + 1j * T, self.gamma - 1j * T]))
-            if float(np.abs(ends).max()) <= p0 * 1e-18 + 1e-300:
+            end = float(abs(self.factor(np.array([self.gamma + 1j * T]))[0]))
+            if end <= p0 * 1e-18 + 1e-300:
                 break
             T *= 2.0
         else:
             raise TailNotNegligible("contour integrand does not decay by |t| = 4096")
-        self._tail_T = T
-        return T
+        self._tail = (T, end)
+        return self._tail
 
 
-_CONTOUR_CACHE: dict[tuple, _ContourFactor] = {}
+# Least recently used contour factors are evicted beyond this many: one
+# inversion request asks for about 60 contours per mu.
+_CONTOUR_CACHE_SIZE = 256
+_CONTOUR_CACHE: OrderedDict[tuple, _ContourFactor] = OrderedDict()
 
 
 def _contour_factor(mu: float, rho: complex, gamma: float) -> _ContourFactor:
     key = (round(mu, 12), round(rho.real, 12), round(rho.imag, 12), round(gamma, 12))
     got = _CONTOUR_CACHE.get(key)
     if got is None:
-        if len(_CONTOUR_CACHE) > 64:
-            _CONTOUR_CACHE.clear()
-        got = _ContourFactor(mu, rho, gamma)
-        _CONTOUR_CACHE[key] = got
+        got = _CONTOUR_CACHE[key] = _ContourFactor(mu, rho, gamma)
+        if len(_CONTOUR_CACHE) > _CONTOUR_CACHE_SIZE:
+            _CONTOUR_CACHE.popitem(last=False)
+    else:
+        _CONTOUR_CACHE.move_to_end(key)
     return got
+
+
+# Largest x the contour takes on its own abscissa: round(x/2) is not the
+# saddle, and the cancellation along the line costs 3.6e-8 relative at
+# x = 100, 5e-5 at 140 and 1e-1 at 200 against mpmath.
+_W_CONTOUR_X_MAX = 100.0
 
 
 def _auto_gamma(mu: float, rho: complex, x: float) -> float:
@@ -647,8 +663,7 @@ def _w_contour_general(mu: float, rho: complex, x: float,
                        quad: QuadSpec = DEFAULT_SPEC) -> float:
     """e^{-x/2} W_{mu, rho}(x) by the vertical-line integral; rho may be
     purely real or purely imaginary (both give a real result)."""
-    return _w_contour_group(mu, rho, _auto_gamma(mu, rho, x) if gamma is None else gamma,
-                            [x], quad)[0]
+    return float(_w_contour_many(mu, rho, [x], quad, gamma)[0])
 
 
 def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
@@ -659,12 +674,23 @@ def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
     contour abscissa (`gamma`, or ``_auto_gamma`` of each x) are the rows of
     one row-wise line integral on one ``_ContourFactor``.  Each x keeps its
     own peak, tolerance and checks, so its value equals a one-x call bit
-    for bit; the first x that fails, group by group, raises.
+    for bit; the first x that fails, group by group, raises.  A second index
+    that is neither real nor imaginary raises OrderError (the line is
+    folded onto t >= 0 by conjugate symmetry), and x > 100 without a
+    `gamma` raises PrecisionBudgetExceeded.
     """
+    if rho.real != 0.0 and rho.imag != 0.0:
+        raise OrderError(
+            f"the contour route needs a purely real or purely imaginary second index, "
+            f"got {rho}")
     xs = [_positive(x, "whittaker_w_mb")
           for x in np.asarray(xs, dtype=float).reshape(-1).tolist()]
     groups: dict[float, list[int]] = {}
     for i, x in enumerate(xs):
+        if gamma is None and x > _W_CONTOUR_X_MAX:
+            raise PrecisionBudgetExceeded(
+                f"the contour for W resolves x <= {_W_CONTOUR_X_MAX:g} on its own "
+                f"abscissa, got x={x}")
         groups.setdefault(_auto_gamma(mu, rho, x) if gamma is None else gamma, []).append(i)
     out = np.empty(len(xs))
     for gam, idx in groups.items():
@@ -672,13 +698,26 @@ def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
     return out
 
 
+# Most entries (rows x nodes) the contour's row sums form at once: 2^16
+# doubles are 512 kB.
+_W_BLOCK = 1 << 16
+
+
 def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: QuadSpec) -> list:
+    """The x of one abscissa as rows of the trapezoid rule on the folded line.
+
+    With g(s) = factor(s) x^{-s}, (1/2 pi) times the line integral of g is
+    (1/pi) times that of Re g(gamma + it) over [0, T], and Re g is
+    x^{-gamma} (Re F cos(t ln x) + Im F sin(t ln x)) with F the factor at
+    gamma + it: real arithmetic on half the nodes.
+    """
     cf = _contour_factor(mu, rho, gamma)
-    T = cf.tail_cutoff()
-    lns = [math.log(x) for x in xs]
+    T, tail = cf.tail()
     log_p0 = math.log(cf.peak()) if cf.peak() > 0.0 else -math.inf
-    peaks = []
-    for x, ln in zip(xs, lns):
+    lnx, scales, tols = [], [], []
+    for x in xs:
+        ln = math.log(x)
+        lnx.append(ln)
         # |x^{-s}| = x^{-gamma} on the line: it and the integrand peak must
         # stay in double range before either is exponentiated, and x^{-s}
         # must not underflow, or every node of the integrand reads 0
@@ -691,41 +730,32 @@ def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: Quad
             raise PrecisionBudgetExceeded(
                 f"|x^-s| = e^{-gamma * ln:.0f} on the contour for W at x={x} "
                 f"underflows double range")
-        peaks.append(cf.peak() * math.exp(-gamma * ln))
-    line_spec = QuadSpec(
-        rel_tol=max(quad.rel_tol, 1e-12),
-        max_refinements=max(quad.max_refinements, 12),
-        max_evals=quad.max_evals,
-    )
-    mb = MellinBarnesSpec(gamma_abscissa=gamma, tail_cutoff=T, quad=line_spec)
+        scale = math.exp(-gamma * ln)
+        tol = max(cf.peak() * scale * 1e-14, 1e-300)
+        if tail * scale > tol:
+            raise _tail_error(tail * scale, tol)
+        scales.append(scale / math.pi)
+        tols.append(tol)
+    lnx, scales = np.array(lnx), np.array(scales)
 
-    # complex, as -s * log(x) converts a float log(x)
-    lnx = np.array(lns, dtype=complex)[:, None]
+    def row_sums(t, w, rows):
+        f = cf.factor(gamma + 1j * t)
+        fr, fi = (f.real, f.imag) if w is None else (w * f.real, w * f.imag)
+        step = max(1, _W_BLOCK // t.size)
+        sums = []
+        for lo in range(0, rows.size, step):
+            th = np.multiply.outer(lnx[rows[lo:lo + step]], t)
+            c = np.cos(th)
+            sums.append(np.vecdot(c, fr) + np.vecdot(np.sin(th, out=th), fi))
+        return scales[rows] * np.concatenate(sums)
 
-    def G(s, rows):
-        # factor(s) * x^{-s}, built in one buffer
-        e = np.multiply(-s, lnx.take(rows, axis=0))
-        return np.multiply(cf.factor(s), np.exp(e, out=e), out=e)
-
-    rs = integrate_vertical_line_rows(G, mb, [max(p * 1e-14, 1e-300) for p in peaks])
-    vals = []
-    for x, peak, r in zip(xs, peaks, rs):
-        if isinstance(r, TailNotNegligible):
-            raise r
-        if not r.converged:
-            raise NonConvergence(
-                f"contour integral for W at x={x} stalled at error {r.error_estimate:.2e}"
-            )
-        v = complex(r.value)
-        # near a zero of the small-x oscillation |Re| drops far below the contour
-        # scale; the imaginary roundoff floor is set by `peak`, not by the value
-        if abs(v.imag) > max(1e-8 * abs(v.real), 1e-12 * peak, 1e-300):
-            raise RealnessViolation(
-                f"contour route returned imaginary part {v.imag:.3e} against real part "
-                f"{v.real:.3e}; contour or precision bug"
-            )
-        vals.append(v.real)
-    return vals
+    value, err, _, _, converged = _refine_rows(
+        row_sums, _trapezoid(T), np.array(tols), max(quad.rel_tol, 1e-12),
+        max(quad.max_refinements, 12), _line_budget(quad.max_evals))
+    for x, e, ok in zip(xs, err.tolist(), converged.tolist()):
+        if not ok:
+            raise NonConvergence(f"contour integral for W at x={x} stalled at error {e:.2e}")
+    return value.tolist()
 
 
 # The Kummer series below replaces the contour for x <= _W_SERIES_CUT.  Against

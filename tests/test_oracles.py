@@ -62,7 +62,9 @@ class TestWhittakerLaplaceBessel:
         assert r.rel_err < 1e-10
 
     def test_rejects_mixed_complex_index(self):
-        with pytest.raises(DomainError):
+        # the contour route folds its line by conjugate symmetry, which needs
+        # a purely real or purely imaginary second index
+        with pytest.raises(OrderError):
             check_whittaker_laplace_bessel(0.0, 0.3 + 0.5j, 1.0)
         with pytest.raises(DomainError):
             check_whittaker_laplace_bessel(0.0, 0.5j, 0.0)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from diwt import specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, PoleError, \
     PrecisionBudgetExceeded
-from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line
+from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line, \
+    integrate_vertical_line_rows
 from diwt.specfun import (
     ComplexIndex,
     WhittakerOrder,
@@ -517,9 +518,72 @@ def test_w_contour_x_power_underflow_refused(mu, x):
     # line gamma = round(x/2); it underflowed to 0 at every node, and W read 0.0
     with pytest.raises(PrecisionBudgetExceeded):
         whittaker_w_mb(WhittakerOrder(mu, 1.0), x, scaled=True)
-    # at x = 250, x^{-gamma} = e^-690 stays a normal double and a value comes
-    # back; it is still inaccurate, as the abscissa is not at the saddle
-    assert math.isfinite(whittaker_w_mb(WhittakerOrder(mu, 1.0), 250.0, scaled=True))
+    # at x = 250, x^{-gamma} = e^-690 stays a normal double, but the abscissa
+    # is not at the saddle and the value came back with the wrong sign
+    with pytest.raises(PrecisionBudgetExceeded):
+        whittaker_w_mb(WhittakerOrder(mu, 1.0), 250.0, scaled=True)
+
+
+@pytest.mark.parametrize("x", [150.0, 200.0])
+def test_w_contour_large_x_refused_on_its_own_abscissa(x):
+    # gamma = round(x/2) is not the saddle: the error against mpmath grows
+    # from 3.6e-8 at x = 100 to 5e-5 at 140 and 1e-1 at 200
+    for mu in (-2.0, 0.0, 0.25, 2.0):
+        with pytest.raises(PrecisionBudgetExceeded):
+            whittaker_w_mb(WhittakerOrder(mu, 1.0), x, scaled=True)
+        with pytest.raises(PrecisionBudgetExceeded):
+            specfun._w_contour_many(mu, 0.45 + 0.0j, [1.0, x])
+
+
+@pytest.mark.parametrize("x,bound", [(81.0, 5e-9), (100.0, 5e-8)])
+def test_w_contour_large_x_against_mpmath(x, bound):
+    # the edge of the automatic abscissa; over mu in [-2, 2] and tau in
+    # [0, 16] the worst relative errors are 3.3e-9 at x = 81 and 3.7e-8 at 100
+    import mpmath as mp
+
+    for mu in (-2.0, -0.5, 0.25, 2.0):
+        for tau in (0.0, 0.5, 2.0, 16.0):
+            got = float(specfun._w_contour_many(mu, complex(0.0, tau), [x])[0])
+            with mp.workdps(40):
+                want = float(mp.re(mp.whitw(mu, mp.mpc(0, tau), x) * mp.exp(-mp.mpf(x) / 2)))
+            assert abs(got / want - 1.0) <= bound, (mu, tau)
+
+
+def test_w_contour_fold_matches_full_line():
+    # the contour route folds its line onto t >= 0, which needs g(gamma - it)
+    # = conj g(gamma + it); the full-line rule on g = factor x^{-s} keeps the
+    # imaginary part, which must vanish to rounding, and its real part must
+    # be the folded value.  Both stop at max(1e-14 peak, 1e-12 |value|),
+    # with peak the integrand at t = 0, so they agree to 1e-12 of the larger.
+    # At mu = 2, tau = 8 and x <= 1e-3 both rules stall on roundoff (the
+    # integrand near t = tau is 1e5 and more above the peak), and the
+    # folded route refuses.
+    for mu in (-2.0, 0.0, 0.25, 2.0):
+        for rho in (0j, 0.3j, 1j, 8j, 0.45 + 0j):
+            for x in np.geomspace(1e-6, 100.0, 9).tolist():
+                gam = specfun._auto_gamma(mu, rho, x)
+                cf = specfun._contour_factor(mu, rho, gam)
+                peak = cf.peak() * x ** -gam
+                mb = MellinBarnesSpec(gam, cf.tail()[0], QuadSpec(rel_tol=1e-12,
+                                                                  max_refinements=12))
+                [r] = integrate_vertical_line_rows(
+                    lambda s, rows: (cf.factor(s) * np.exp(-s * math.log(x)))[None, :],
+                    mb, [max(1e-14 * peak, 1e-300)])
+                v = complex(r.value)
+                assert abs(v.imag) <= max(1e-8 * abs(v.real), 1e-12 * peak), (mu, rho, x)
+                try:
+                    w = specfun._w_contour_many(mu, rho, [x])[0]
+                except NonConvergence:
+                    assert (mu, rho) == (2.0, 8j) and x <= 1e-3, (mu, rho, x)
+                    continue
+                assert abs(w - v.real) <= 1e-12 * max(peak, abs(v.real)), (mu, rho, x)
+
+
+def test_w_contour_refuses_mixed_second_index():
+    with pytest.raises(OrderError):
+        specfun._w_contour_many(0.25, 0.3 + 0.5j, [1.0])
+    with pytest.raises(OrderError):
+        specfun._w_contour_general(0.25, 0.3 + 0.5j, 1.0, gamma=1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -614,7 +678,7 @@ _W_BATCH_X = st.one_of(st.floats(-40.0, 1.5).map(lambda e: 10.0 ** e),
 def test_w_value_independent_of_batch(mu, tau, xs, cut, seed):
     # the series takes a fixed term list per (mu, tau) and the contour stops
     # each x on its own, so a batch changes no value, on either side of the
-    # cut or straddling it
+    # cut or straddling it, or with the contour's rows spread over blocks
     rho = complex(0.0, tau)
     x = np.array(xs)
     alone = np.array([specfun._w_scaled_many(mu, rho, [xi])[0] for xi in xs])
@@ -622,6 +686,8 @@ def test_w_value_independent_of_batch(mu, tau, xs, cut, seed):
     perm = np.random.default_rng(seed).permutation(x.size)
     assert np.array_equal(specfun._w_scaled_many(mu, rho, x[perm]), alone[perm])
     assert np.array_equal(specfun._w_scaled_many(mu, rho, x[cut:]), alone[cut:])
+    with mock.patch.object(specfun, "_W_BLOCK", 100):
+        assert np.array_equal(specfun._w_scaled_many(mu, rho, x), alone)
 
 
 def test_w_reduces_to_k_route_bessel():
@@ -738,6 +804,21 @@ def test_incomplete_bessel_two_forms_agree():
     a = incomplete_bessel_j(1.0, 1)
     b = _incomplete_bessel_j_by_parts(1.0, 1)
     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("x", [30.0, 60.0])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_incomplete_bessel_by_parts_large_x(x, n):
+    # both forms carry e^{-x} outside the integral, so they keep their
+    # relative accuracy where the unscaled by-parts form was off by 4e-2
+    import mpmath as mp
+
+    with mp.workdps(40):
+        want = float(mp.exp(-x) * mp.quad(
+            lambda u: mp.exp(-2 * x * mp.sinh(u / 2) ** 2) * mp.cos(n * u),
+            [0, 0.1, 0.5, mp.pi]))
+    assert abs(_incomplete_bessel_j_by_parts(x, n) / want - 1.0) < 1e-12
+    assert abs(incomplete_bessel_j(x, n) / want - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("x,n", [(0.5, 2), (10.0, 1)])
