@@ -13,8 +13,6 @@ Three entry points cover every integral that appears downstream:
 * ``integrate_vertical_line`` -- progressive trapezoid rule along a vertical
   line Re(s) = gamma, for Mellin-type integrands that are analytic in a strip
   and decay at both ends.  The trapezoid rule converges geometrically there.
-  Its one level generator runs on t in [0, T]; each node t stands for the
-  line's nodes gamma + it and gamma - it, folded into one sum.
 
 All three also come row-wise (``integrate_finite_rows``,
 ``integrate_semi_infinite_rows``, ``integrate_vertical_line_rows``): a
@@ -26,9 +24,10 @@ the nodes each level adds.  The loop asks its caller for each open row's
 weighted node sum: ``integrate_finite_rows`` sums pairwise, which keeps
 oscillating integrands accurate, and the cylinder function of
 :mod:`diwt.specfun` runs on the tanh-sinh rule with a faster dot product.
-Contour W in :mod:`diwt.specfun` runs on the trapezoid rule with real row
-sums of its own: its integrand at gamma - it is the conjugate of that at
-gamma + it, so the line integral is the real part of the [0, T] half.
+The trapezoid rule runs on t in [0, T]: the line rule folds each
+integrand's values at gamma +- it onto the node t, and contour W in
+:mod:`diwt.specfun`, whose integrand at gamma - it is the conjugate of that
+at gamma + it, sums the real part alone in real arithmetic of its own.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -409,11 +408,10 @@ def integrate_vertical_line(g, mb: MellinBarnesSpec) -> IntegralResult:
     This is the (1/2*pi*i) contour integral of g along the vertical line
     after the substitution s = gamma + i t.  g must be analytic in a strip
     around the line and small at t = +-T; if |g| at the endpoints exceeds
-    the absolute tolerance a TailNotNegligible error is raised.  g may be
-    any such function: the value is returned with its imaginary part
-    intact, so callers can check realness where symmetry demands it.  In
-    double precision this is the one-row case of
-    ``integrate_vertical_line_rows``.
+    the absolute tolerance a TailNotNegligible error is raised.  The value
+    is returned with its imaginary part intact so callers can assert
+    realness where symmetry demands it.  In double precision this is the
+    one-row case of ``integrate_vertical_line_rows``.
     """
     spec = mb.quad
     gv = _VecCall(g)
@@ -483,10 +481,9 @@ def _trapezoid(T: float):
 
 
 def _line_budget(max_evals: float) -> float:
-    """The node budget of ``_refine_rows`` on ``_trapezoid`` for a line of max_evals evaluations.
+    """``_trapezoid``'s node budget for max_evals evaluations of a line.
 
-    Every node t > 0 is evaluated twice (at gamma +- it), t = 0 once, and
-    the two tail nodes gamma +- iT count too.
+    A node t > 0 costs two (gamma +- it), t = 0 one, and the tails two.
     """
     return (max_evals - 1) / 2
 
@@ -497,16 +494,16 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     ``G(s, rows)`` returns an array of shape (len(rows), len(s)): the
     integrands numbered ``rows`` (positions in ``abs_tols``) at the complex
     nodes ``s`` of the line.  It is asked only for open rows, and for at
-    most 2^16 entries at a time.  The rule is ``_trapezoid`` on [0, T] with
-    each node t folded from G at gamma + it and gamma - it, which is the
-    trapezoid rule on [-T, T]: the same nodes of the line, evaluated once
-    each.  Row i has its own abs_tol ``abs_tols[i]``, tail check, stopping
-    test and evaluation count (the two tail nodes included), and its sums
-    run along the row alone, so its value, error estimate and meta are
-    exactly those of ``integrate_vertical_line`` on it alone.  A row whose
-    tail fails its check gets, in place of a result, the TailNotNegligible
-    error the one-row rule raises.  rel_tol, max_refinements and max_evals
-    come from ``mb.quad`` and are shared; double precision only.
+    most 2^16 entries at a time.  Each node t of ``_trapezoid`` sums G at
+    gamma + it and gamma - it: the trapezoid rule on [-T, T], each node
+    evaluated once.  Row i has its own abs_tol ``abs_tols[i]``, tail check,
+    stopping test and evaluation count (the two tail nodes included), and
+    its sums run along the row alone, so its value, error estimate and meta
+    are exactly those of ``integrate_vertical_line`` on it alone.  A row
+    whose tail fails its check gets, in place of a result, the
+    TailNotNegligible error the one-row rule raises.  rel_tol,
+    max_refinements and max_evals come from ``mb.quad`` and are shared;
+    double precision only.
     """
     spec = mb.quad
     gam = float(mb.gamma_abscissa)
