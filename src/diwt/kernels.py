@@ -30,12 +30,15 @@ Kernels at many x and indices are one row-wise u-integral with a row per
 (x, index) pair, and one profile call per u level for every x still
 open.  Cylinder D stops each point on its own and the row rule sums each
 row alone, so an entry does not depend on the batch that holds it: a
-table row, an inversion level and a one-x call give the same bits.
+table row, an inversion level and a one-x call give the same bits.  Nor
+does it depend on the data being transformed, so double-precision entries
+are remembered across calls in a bounded LRU memo (``kernel_memo_info``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
@@ -55,6 +58,8 @@ __all__ = [
     "erfc_cos_kernel",
     "cylinder_sin_kernel",
     "build_kernel_table",
+    "kernel_memo_info",
+    "kernel_memo_clear",
 ]
 
 
@@ -98,6 +103,30 @@ def _kernel_eval(kind: KernelKind, mu: float, nu: complex, x: float,
     return _kernel_eval_many(kind, mu, [nu], [x], [quad])[0][0]
 
 
+# Least recently used kernel entries are evicted beyond this many.  An
+# entry takes about 280 bytes, and the first invert request at a mu adds
+# about 2,900 (n 1..3); later ones at that mu add almost none.
+_KERNEL_MEMO_SIZE = 1 << 14
+_KERNEL_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
+_memo_counts = {"hits": 0, "misses": 0}
+
+KernelMemoInfo = namedtuple("KernelMemoInfo", "hits misses entries")
+
+
+def kernel_memo_info() -> KernelMemoInfo:
+    """Hits, misses and stored entries of the double-precision kernel memo.
+
+    Counts run from import or the last ``kernel_memo_clear()``.
+    """
+    return KernelMemoInfo(_memo_counts["hits"], _memo_counts["misses"], len(_KERNEL_MEMO))
+
+
+def kernel_memo_clear() -> None:
+    """Empty the kernel memo and zero its counts."""
+    _KERNEL_MEMO.clear()
+    _memo_counts.update(hits=0, misses=0)
+
+
 def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[tuple]]:
     """Kernel integrals at several x for several indices on shared u nodes.
 
@@ -115,6 +144,11 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
     what a call for that x alone gives, bit for bit.  The rows are complex
     whenever one index is (a real index mixed with complex ones can then
     differ from its own call in the last bit; see integrate_finite_rows).
+
+    In double precision each entry is remembered across calls, keyed by
+    everything that fixes its bits: kind, mu, index, x, the row's QuadSpec
+    and the row dtype.  A call integrates only the entries it has not seen
+    and takes the rest from the memo (``kernel_memo_info``).
     """
     ns = [complex(nu) for nu in ns]
     xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -125,6 +159,43 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
         return [[(_kernel_eval_mp(kind, mu, nu, x, quad.dps), 10.0 ** (-quad.dps + 2), True)
                  for nu in ns] for x in xs.tolist()]
 
+    dtype = complex if kind is KernelKind.CYLINDER_COS and any(nu.imag for nu in ns) else float
+    # what every row shares, as plain numbers so that a key hashes without
+    # calling back into Python; abs_tol is per index, and dps is unused in
+    # double precision
+    shared = (kind.value, float(mu), quad.rel_tol, quad.max_refinements, quad.max_evals,
+              dtype is complex)
+    per_index = [(nu, s.abs_tol) for nu, s in zip(ns, specs)]
+    keys = [(shared, idx, x) for x in xs.tolist() for idx in per_index]
+    memo = _KERNEL_MEMO
+    triples = [memo.get(key) for key in keys]
+    todo = []
+    for r, t in enumerate(triples):
+        if t is None:
+            todo.append(r)
+        else:
+            memo.move_to_end(keys[r])
+    _memo_counts["hits"] += len(keys) - len(todo)
+    _memo_counts["misses"] += len(todo)
+    if todo:
+        k = len(ns)
+        done = _kernel_rows(kind, mu, ns, xs, specs, dtype,
+                            np.array([r // k for r in todo]), np.array([r % k for r in todo]))
+        for r, t in zip(todo, done):
+            triples[r] = memo[keys[r]] = t
+        while len(memo) > _KERNEL_MEMO_SIZE:
+            memo.popitem(last=False)
+    return [triples[j:j + len(ns)] for j in range(0, len(triples), len(ns))]
+
+
+def _kernel_rows(kind: KernelKind, mu: float, ns: list, xs: np.ndarray, specs, dtype,
+                 at_x: np.ndarray, at_n: np.ndarray) -> list[tuple]:
+    """(value, error_estimate, converged) of the rows (xs[at_x[r]], ns[at_n[r]]).
+
+    One row-wise u-integral in ``dtype``; each u level makes one profile
+    call for the x with an open row.
+    """
+    quad = specs[0]
     root2x = np.sqrt(2.0 * xs)
     rootx = np.sqrt(xs)
     inner = _inner_rel_tol(quad)
@@ -155,29 +226,17 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
         def wave(nu, u):
             return np.sin(nu.real * u)
 
-    dtype = complex if kind is KernelKind.CYLINDER_COS and any(nu.imag for nu in ns) else float
-
     def rows_at(u, rows):
-        # row r is the pair (x r // k, index r % k); the rows come in order,
-        # so while every index of each open x is open they are the whole
-        # (open x, index) grid and need no gather
-        k = len(ns)
-        open_x = sorted({r // k for r in rows})
+        open_x, back = np.unique(at_x[rows], return_inverse=True)
         waves = np.array([wave(nu, u) for nu in ns], dtype=dtype)
-        grid = (profile(open_x, u)[:, None, :] * waves).reshape(-1, u.size)
-        if len(rows) == grid.shape[0]:
-            return grid
-        at = {x: j for j, x in enumerate(open_x)}
-        return grid[[at[r // k] * k + r % k for r in rows]]
+        return profile(open_x, u)[back] * waves[at_n[rows]]
 
     results = integrate_finite_rows(rows_at, 0.0, math.pi,
-                                    [s.abs_tol for s in specs] * xs.size, quad)
+                                    [specs[i].abs_tol for i in at_n.tolist()], quad)
     if kind is KernelKind.CYLINDER_SIN:
         # even integrand: the [-pi, pi] kernel is twice the [0, pi] integral
-        triples = [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
-    else:
-        triples = [(r.value, r.error_estimate, r.converged) for r in results]
-    return [triples[j:j + len(ns)] for j in range(0, len(triples), len(ns))]
+        return [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
+    return [(r.value, r.error_estimate, r.converged) for r in results]
 
 
 def _kernel_eval_mp(kind: KernelKind, mu: float, nu: complex, x: float, dps: int):

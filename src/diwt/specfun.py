@@ -567,20 +567,30 @@ class _ContourFactor:
     gamma + it, so only t >= 0 is ever asked for.
     """
 
+    # least recently used grids are evicted beyond this many
+    _GRIDS = 48
+
     def __init__(self, mu: float, rho: complex, gamma: float):
         self.mu = mu
         self.rho = rho
         self.gamma = gamma
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._tail: tuple[float, float] | None = None
         self._peak: float | None = None
 
-    def factor(self, s):
+    def factor(self, s, grid: tuple | None = None):
+        """The factor at the points s; ``grid``, if given, names s exactly.
+
+        The values at a named grid are kept, so the name must fix every
+        point: ``_w_contour_group`` passes T and the node count of the
+        trapezoid level on [0, T] that s = gamma + it walks.
+        """
+        if grid is not None:
+            got = self._cache.get(grid)
+            if got is not None:
+                self._cache.move_to_end(grid)
+                return got
         s = np.asarray(s, dtype=complex)
-        store = s.size >= 8
-        key = s.tobytes() if store else None
-        if store and key in self._cache:
-            return self._cache[key]
         logs = (log_gamma(0.5 + self.rho + s) + log_gamma(0.5 - self.rho + s)
                 - log_gamma(1.0 - self.mu + s))
         if logs.real.max() > _LOG_MAX:
@@ -588,10 +598,10 @@ class _ContourFactor:
                 f"contour Gamma-factor (mu={self.mu}, rho={self.rho}) overflows double "
                 f"range on the line Re s = {self.gamma}")
         vals = np.exp(logs)
-        if store:
-            if len(self._cache) > 48:
-                self._cache.clear()
-            self._cache[key] = vals
+        if grid is not None:
+            self._cache[grid] = vals
+            if len(self._cache) > self._GRIDS:
+                self._cache.popitem(last=False)
         return vals
 
     def peak(self) -> float:
@@ -739,7 +749,8 @@ def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: Quad
     lnx, scales = np.array(lnx), np.array(scales)
 
     def row_sums(t, w, rows):
-        f = cf.factor(gamma + 1j * t)
+        # a level of the trapezoid rule on [0, T] is fixed by its node count
+        f = cf.factor(gamma + 1j * t, (T, t.size))
         fr, fi = (f.real, f.imag) if w is None else (w * f.real, w * f.imag)
         step = max(1, _W_BLOCK // t.size)
         sums = []

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diwt import kernels, specfun
 from diwt.errors import DomainError, OrderError
@@ -14,11 +15,13 @@ from diwt.kernels import (
     cylinder_cos_kernel,
     cylinder_sin_kernel,
     erfc_cos_kernel,
+    kernel_memo_info,
     _cylinder_sin_kernel_full_range,
 )
 from diwt.quad import QuadSpec, _level_nodes
 from diwt.specfun import ComplexIndex, _cyl_profile, parabolic_cylinder_d_scaled
-from diwt.transforms import FourierPolynomial, ProfileHandle
+from diwt.transforms import CoefficientSeq, ForwardHandle, FourierPolynomial, ProfileHandle, \
+    TransformParams, invert_many
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +163,23 @@ def test_domain_errors():
     (KernelKind.ERFC_COS, 0.0, [1.0, 2.0, 3.0]),
     (KernelKind.CYLINDER_SIN, -0.25, [1.0, 2.0, 3.0]),
 ], ids=["cos", "erfc", "sin"])
-def test_many_x_equals_one_x_calls(kind, mu, ns):
+def test_many_x_equals_one_x_calls(kind, mu, ns, cold_kernels):
     # rows are (x, index) pairs on shared u nodes, with one cylinder call
-    # per level for the open x; each entry is that of a call at its x alone
+    # per level for the open x; each entry is that of a call at its x
+    # alone, every call integrated from an empty memo
     xs = [0.05, 0.3, 1.0, 2.5, 7.0]
     specs = [QuadSpec(abs_tol=t) for t in (1e-14, 1e-11, 1e-9)]
     many = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
     assert len(many) == len(xs)
     for x, got in zip(xs, many):
+        cold_kernels()
         assert got == kernels._kernel_eval_many(kind, mu, ns, [x], specs)[0]
         if kind is not KernelKind.CYLINDER_COS:
             # a real family: each row is also its own one-index integral
-            assert got == [kernels._kernel_eval(kind, mu, n, x, q) for n, q in zip(ns, specs)]
+            for n, q, entry in zip(ns, specs, got):
+                cold_kernels()
+                assert entry == kernels._kernel_eval(kind, mu, n, x, q)
+    assert kernel_memo_info().hits == 0
 
 
 # each case evaluates cylinder profiles at several x on shared u levels
@@ -185,9 +193,10 @@ _CYL_PROFILE_CALLERS = {
 
 
 @pytest.mark.parametrize("caller", _CYL_PROFILE_CALLERS)
-def test_cylinder_profile_calls_repeat_no_point(caller):
+def test_cylinder_profile_calls_repeat_no_point(caller, cold_kernels):
     # tanh-sinh nodes near u = 0 round cosh u to 1.0; each distinct point
-    # goes to cylinder D once per call, and nothing else changes
+    # goes to cylinder D once per call, and nothing else changes; both
+    # calls start from an empty kernel memo
     calls = []
 
     def spy(alpha, z, rel_tol=1e-14):
@@ -195,9 +204,10 @@ def test_cylinder_profile_calls_repeat_no_point(caller):
         return parabolic_cylinder_d_scaled(alpha, z, rel_tol)
 
     xs = [0.3, 1.7, 5.0, 40.0]
-    direct = _CYL_PROFILE_CALLERS[caller](xs)
     with mock.patch.object(specfun, "parabolic_cylinder_d_scaled", spy):
         spied = _CYL_PROFILE_CALLERS[caller](xs)
+    cold_kernels()
+    direct = _CYL_PROFILE_CALLERS[caller](xs)
     assert len(calls) > 3
     for z in calls:
         assert np.unique(z).size == z.size
@@ -262,7 +272,7 @@ def test_table_single_entry():
     assert tab.values[0][0] == erfc_cos_kernel(1, 1.0)
 
 
-def test_table_grid_bit_identical():
+def test_table_grid_bit_identical(cold_kernels):
     ns = [1, 2, 3]
     xs = [0.5, 1.0, 2.0, 4.0]
     tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, ns, xs)
@@ -270,6 +280,7 @@ def test_table_grid_bit_identical():
     assert not tab.failures
     for i, n in enumerate(ns):
         for j, x in enumerate(xs):
+            cold_kernels()
             assert tab.values[i][j] == erfc_cos_kernel(n, x)
 
 
@@ -302,3 +313,105 @@ def test_extended_precision_kernel():
     a = cylinder_cos_kernel(0.25, 1, 1.0, ext)
     b = cylinder_cos_kernel(0.25, 1, 1.0)
     assert abs(complex(a) - b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the kernel memo
+# ---------------------------------------------------------------------------
+
+_MEMO_XS = (0.05, 0.3, 1.0, 2.5, 7.0)
+_MEMO_TOLS = (1e-14, 1e-11, 1e-9)
+
+
+@st.composite
+def _memo_batches(draw):
+    """A kernel batch and a part of it, as (kind, mu, ns, tols, xs, part_n, part_x)."""
+    kind = draw(st.sampled_from(list(KernelKind)))
+    mu = draw(st.sampled_from([-0.5, 0.0, 0.25]))
+    index = st.integers(1, 3).map(float)
+    if kind is KernelKind.CYLINDER_COS:
+        index = st.one_of(st.integers(0, 3).map(float),
+                          st.builds(complex, st.sampled_from([0.5, 1.5]),
+                                    st.sampled_from([-0.5, 0.5])))
+    ns = draw(st.lists(index, min_size=1, max_size=3))
+    tols = draw(st.lists(st.sampled_from(_MEMO_TOLS), min_size=len(ns), max_size=len(ns)))
+    xs = draw(st.lists(st.sampled_from(_MEMO_XS), min_size=1, max_size=3, unique=True))
+    part_n = draw(st.sets(st.integers(0, len(ns) - 1), min_size=1).map(sorted))
+    part_x = draw(st.sets(st.sampled_from(xs), min_size=1).map(sorted))
+    return kind, mu, ns, tols, xs, part_n, part_x
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(batch=_memo_batches())
+@example(batch=(KernelKind.CYLINDER_COS, 0.25, [1.0, complex(1.5, -0.5), 2.0],
+                [1e-14, 1e-11, 1e-9], [0.3, 2.5], [0, 2], [0.3]))
+def test_memo_warm_entries_equal_cold_ones(batch):
+    # a batch warmed by a part of it (other indices, other x, maybe another
+    # row dtype) returns the bits of its cold call; the part hits exactly
+    # where its entries share the batch's index, abs_tol, x and dtype
+    kind, mu, ns, tols, xs, part_n, part_x = batch
+    specs = [QuadSpec(abs_tol=t) for t in tols]
+    kernels.kernel_memo_clear()
+    cold = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
+    kernels.kernel_memo_clear()
+    kernels._kernel_eval_many(kind, mu, [ns[i] for i in part_n], part_x,
+                              [specs[i] for i in part_n])
+    same_dtype = any(complex(n).imag for n in ns) == any(complex(ns[i]).imag for i in part_n)
+    stored = {(complex(ns[i]), tols[i], x) for i in part_n for x in part_x} if same_dtype else set()
+    before = kernel_memo_info()
+    warm = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
+    after = kernel_memo_info()
+    assert warm == cold
+    assert after.hits - before.hits == sum((complex(n), t, x) in stored
+                                           for x in xs for n, t in zip(ns, tols))
+    assert kernels._kernel_eval_many(kind, mu, ns, xs, specs) == cold
+    assert kernel_memo_info().misses == after.misses
+    kernels.kernel_memo_clear()
+
+
+def test_memo_evicts_least_recently_used(cold_kernels, monkeypatch):
+    monkeypatch.setattr(kernels, "_KERNEL_MEMO_SIZE", 4)
+
+    def looked_up(*xs):
+        # (hits, misses) of one two-index call at xs
+        before = kernel_memo_info()
+        kernels._kernel_eval_many(KernelKind.ERFC_COS, 0.0, [1, 2], xs, [QuadSpec()] * 2)
+        after = kernel_memo_info()
+        return after.hits - before.hits, after.misses - before.misses
+
+    assert looked_up(0.5, 1.0) == (0, 4)
+    assert looked_up(0.5) == (2, 0)
+    assert looked_up(2.0) == (0, 2)  # evicts x = 1.0, used longest ago
+    assert kernel_memo_info().entries == 4
+    assert looked_up(0.5) == (2, 0)
+    assert looked_up(2.0) == (2, 0)
+    assert looked_up(1.0) == (0, 2)
+    assert kernel_memo_info().entries == 4
+
+
+def test_extended_precision_never_touches_the_memo(cold_kernels, monkeypatch):
+    monkeypatch.setattr(kernels, "_kernel_rows", _no_integral)
+    ext = QuadSpec(precision="extended", dps=15)
+    a = erfc_cos_kernel(1, 1.0, ext)
+    assert erfc_cos_kernel(1, 1.0, ext) == a
+    assert tuple(kernel_memo_info()) == (0, 0, 0)
+
+
+def test_warm_inversion_grid_equals_cold(cold_kernels):
+    # the criterion-1 grid: every entry of the second pass is a memo hit
+    seq = (1.0, 0.5, -0.25)
+
+    def grid():
+        return [invert_many(ForwardHandle(CoefficientSeq(seq), mu), TransformParams(mu),
+                            [1, 2, 3]) for mu in (-0.25, 0.0, 0.25)]
+
+    cold = grid()
+    first = kernel_memo_info()
+    assert first.misses == first.entries > 0
+    warm = grid()
+    second = kernel_memo_info()
+    assert second.misses == first.misses
+    assert second.hits - first.hits >= first.misses
+    for cold_row, warm_row in zip(cold, warm):
+        for c, w in zip(cold_row, warm_row):
+            assert (w.value, w.error_bound, w.meta) == (c.value, c.error_bound, c.meta)

@@ -579,6 +579,25 @@ def test_w_contour_fold_matches_full_line():
                 assert abs(w - v.real) <= 1e-12 * max(peak, abs(v.real)), (mu, rho, x)
 
 
+def test_contour_factor_keeps_named_grids_least_recently_used(monkeypatch):
+    cf = specfun._ContourFactor(0.25, 1j, 1.0)
+    monkeypatch.setattr(cf, "_GRIDS", 3)
+    s = [1.0 + 1j * np.linspace(0.0, 4.0, 9 + k) for k in range(4)]
+    first = cf.factor(s[0], "a")
+    assert np.array_equal(first, cf.factor(s[0]))
+    assert cf.factor(s[0], "a") is first
+    cf.factor(s[1], "b")
+    cf.factor(s[2], "c")
+    cf.factor(s[0], "a")
+    cf.factor(s[3], "d")
+    assert list(cf._cache) == ["c", "a", "d"]
+    # the contour names each trapezoid level by T and its node count
+    gam = specfun._auto_gamma(0.25, 1j, 1.3)
+    specfun._w_contour_many(0.25, 1j, [1.3])
+    grids = specfun._contour_factor(0.25, 1j, gam)._cache
+    assert grids and all(v.size == n for (_, n), v in grids.items())
+
+
 def test_w_contour_refuses_mixed_second_index():
     with pytest.raises(OrderError):
         specfun._w_contour_many(0.25, 0.3 + 0.5j, [1.0])
