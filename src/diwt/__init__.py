@@ -19,7 +19,6 @@ from .errors import (
     PersistenceError,
     PoleError,
     PrecisionBudgetExceeded,
-    RealnessViolation,
     TailNotNegligible,
     UnknownCheckId,
 )

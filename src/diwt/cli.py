@@ -313,11 +313,21 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# One validator per schema, checked against its metaschema on first use
+# (jsonschema.validate checks it on every call).  Keyed by id: a validator
+# holds its schema, so no other object takes the id while the entry lives.
+_VALIDATORS: dict = {}
+
+
 def _validate(instance, schema, what: str) -> None:
-    try:
-        jsonschema.validate(instance, schema)
-    except jsonschema.ValidationError as exc:
-        raise _UsageError(f"{what}: {exc.message}") from exc
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise _UsageError(f"{what}: {error.message}") from error
 
 
 def _merged_config(args, command: str) -> dict:

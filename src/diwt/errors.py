@@ -37,10 +37,6 @@ class PoleError(DiwtError):
     """Evaluation requested at a pole."""
 
 
-class RealnessViolation(DiwtError):
-    """A quantity that must be real came back with a large imaginary part."""
-
-
 class PrecisionBudgetExceeded(DiwtError):
     """Requested index exceeds what the working precision can resolve."""
 

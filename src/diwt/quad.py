@@ -28,6 +28,9 @@ The trapezoid rule runs on t in [0, T]: the line rule folds each
 integrand's values at gamma +- it onto the node t, and contour W in
 :mod:`diwt.specfun`, whose integrand at gamma - it is the conjugate of that
 at gamma + it, sums the real part alone in real arithmetic of its own.
+The line rule, contour W and cylinder D form a level's entries (rows x
+nodes) through one helper, ``_in_blocks``: at most 2^16 at a time, or one
+row.
 
 All three refine by halving the step and comparing successive sums; they are
 deterministic (no randomness, cached node tables) and report an error
@@ -268,6 +271,24 @@ def _refine_rows(S, rule, abs_tols: np.ndarray, rel_tol: float,
     return value, error, levels, evals, converged
 
 
+# Most entries (rows x nodes) a row family's sums form at once: 2^16 are
+# 512 kB of doubles or 1 MB of complex values.
+_BLOCK = 1 << 16
+
+
+def _in_blocks(sums, rows, width: int):
+    """``sums`` of consecutive slices of ``rows``, concatenated.
+
+    Each slice holds at most _BLOCK // width rows of ``width`` entries, and
+    at least one row; a single slice is one direct call.  Callers sum each
+    row along itself alone, so the slicing moves no bit.
+    """
+    step = max(1, _BLOCK // width)
+    if len(rows) <= step:
+        return sums(rows)
+    return np.concatenate([sums(rows[lo:lo + step]) for lo in range(0, len(rows), step)])
+
+
 class _VecCall:
     """Calls f on node arrays, falling back to a scalar loop if needed."""
 
@@ -437,28 +458,6 @@ def _tail_error(tail: float, abs_tol: float) -> TailNotNegligible:
         f"|g| at the contour ends is {tail:.3e} > abs_tol={abs_tol:.1e}; increase tail_cutoff")
 
 
-# Most complex entries (rows x nodes) the row-wise line rule asks its
-# integrand family for at once: 2^16 entries are 1 MB.
-_LINE_BLOCK = 1 << 16
-
-
-def _row_blocks(G, s: np.ndarray, rows: list):
-    """(block of rows, their values at s) from G, at most _LINE_BLOCK entries per call.
-
-    Blocks are C-ordered, so a block's row sums are those of each row
-    alone.  A row longer than _LINE_BLOCK is assembled from node chunks.
-    """
-    if s.size <= _LINE_BLOCK:
-        step = _LINE_BLOCK // s.size
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            yield block, np.ascontiguousarray(G(s, block))
-    else:
-        for i in rows:
-            yield [i], np.concatenate([G(s[lo:lo + _LINE_BLOCK], [i])
-                                       for lo in range(0, s.size, _LINE_BLOCK)], axis=1)
-
-
 def _trapezoid(T: float):
     """The trapezoid rule on t in [0, T], as ``_refine_rows`` takes it.
 
@@ -494,9 +493,9 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     ``G(s, rows)`` returns an array of shape (len(rows), len(s)): the
     integrands numbered ``rows`` (positions in ``abs_tols``) at the complex
     nodes ``s`` of the line.  It is asked only for open rows, and for at
-    most 2^16 entries at a time.  Each node t of ``_trapezoid`` sums G at
-    gamma + it and gamma - it: the trapezoid rule on [-T, T], each node
-    evaluated once.  Row i has its own abs_tol ``abs_tols[i]``, tail check,
+    most 2^16 entries at a time, or one row.  Each node t of ``_trapezoid``
+    sums G at gamma + it and gamma - it: the trapezoid rule on [-T, T], each
+    node evaluated once.  Row i has its own abs_tol ``abs_tols[i]``, tail check,
     stopping test and evaluation count (the two tail nodes included), and
     its sums run along the row alone, so its value, error estimate and meta
     are exactly those of ``integrate_vertical_line`` on it alone.  A row
@@ -511,14 +510,15 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
     tols = [float(t) for t in abs_tols]
     results: list = [None] * len(tols)
     tails = [0.0] * len(tols)
+    ends = gam + 1j * np.array([-T, T])
     rows = []
-    for block, vals in _row_blocks(G, gam + 1j * np.array([-T, T]), list(range(len(tols)))):
-        for i, v in zip(block, vals):
-            tails[i] = float(np.abs(v).max())
-            if tails[i] > tols[i]:
-                results[i] = _tail_error(tails[i], tols[i])
-            else:
-                rows.append(i)
+    for i, v in enumerate(_in_blocks(lambda block: np.ascontiguousarray(G(ends, block)),
+                                     list(range(len(tols))), ends.size)):
+        tails[i] = float(np.abs(v).max())
+        if tails[i] > tols[i]:
+            results[i] = _tail_error(tails[i], tols[i])
+        else:
+            rows.append(i)
     open_rows = np.array(rows, dtype=int)
 
     def S(t, w, at):
@@ -528,11 +528,14 @@ def integrate_vertical_line_rows(G, mb: MellinBarnesSpec, abs_tols) -> list:
         up = gam + 1j * t
         s = np.concatenate([up, up[k:].conj()])
         down = np.r_[:k, t.size:s.size]
-        sums = []
-        for _, vals in _row_blocks(G, s, open_rows[at].tolist()):
+
+        def sums(block):
+            # C order: each row sums along its own nodes, as alone
+            vals = np.ascontiguousarray(G(s, block))
             f = vals[:, :t.size] + vals[:, down]
-            sums.append((f if w is None else w * f).sum(axis=1))
-        return np.concatenate(sums) / (2.0 * math.pi)
+            return (f if w is None else w * f).sum(axis=1)
+
+        return _in_blocks(sums, open_rows[at].tolist(), s.size) / (2.0 * math.pi)
 
     value, err, _, count, converged = _refine_rows(
         S, _trapezoid(T), np.array([tols[i] for i in rows]), spec.rel_tol,

@@ -49,6 +49,7 @@ from .errors import (
 from .quad import (
     DEFAULT_SPEC,
     QuadSpec,
+    _in_blocks,
     _line_budget,
     _refine_rows,
     _tail_error,
@@ -480,11 +481,6 @@ def _cyl_leaf_coeffs(alpha: float) -> tuple[float, np.ndarray]:
         z0 += 0.25
 
 
-# Most entries (points x nodes) the cylinder quadrature forms at once:
-# 2^16 doubles are 512 kB.
-_CYL_BLOCK = 1 << 16
-
-
 def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
                     max_level: int) -> np.ndarray:
     """Scaled D_{-alpha} at every z by the rescaled tanh-sinh rule on (0, 1).
@@ -492,9 +488,9 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
     Each point is a row of quad's tanh-sinh loop and stops at its own first
     level m >= 2 whose relative change is at most rel_tol; NonConvergence
     is raised if any is still open after max_level.  Points are evaluated
-    in blocks of at most _CYL_BLOCK entries and each point's weighted node
-    sum is one dot product of its own row with the weights (np.vecdot, not
-    a matrix-vector product, whose summation order depends on the row
+    in quad's blocks (``_in_blocks``) and each point's weighted node sum is
+    one dot product of its own row with the weights (np.vecdot, not a
+    matrix-vector product, whose summation order depends on the row
     count), so a value depends on (alpha, z, rel_tol) only.
     """
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
@@ -512,15 +508,10 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
         return np.exp(expo, out=expo)
 
     def node_sums(u, w, rows):
-        # sum_j w_j terms_j for each open point (all of them while none has
-        # stopped), in blocks of at most _CYL_BLOCK entries
-        zl, sl = (z, s_star) if rows.size == z.size else (z[rows], s_star[rows])
+        # sum_j w_j terms_j for each open point
         log_u = np.log(u)
-        step = max(1, _CYL_BLOCK // u.size)
-        if zl.size <= step:
-            return np.vecdot(terms(zl, sl, u, log_u), w)
-        return np.concatenate([np.vecdot(terms(zl[lo:lo + step], sl[lo:lo + step], u, log_u), w)
-                               for lo in range(0, zl.size, step)])
+        return _in_blocks(lambda at: np.vecdot(terms(z[at], s_star[at], u, log_u), w),
+                          rows, u.size)
 
     total, change, _, _, converged = _refine_rows(
         node_sums, _tanh_sinh(0.0, 1.0), np.zeros(z.size), rel_tol, max_level)
@@ -708,11 +699,6 @@ def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
     return out
 
 
-# Most entries (rows x nodes) the contour's row sums form at once: 2^16
-# doubles are 512 kB.
-_W_BLOCK = 1 << 16
-
-
 def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: QuadSpec) -> list:
     """The x of one abscissa as rows of the trapezoid rule on the folded line.
 
@@ -752,13 +738,13 @@ def _w_contour_group(mu: float, rho: complex, gamma: float, xs: list, quad: Quad
         # a level of the trapezoid rule on [0, T] is fixed by its node count
         f = cf.factor(gamma + 1j * t, (T, t.size))
         fr, fi = (f.real, f.imag) if w is None else (w * f.real, w * f.imag)
-        step = max(1, _W_BLOCK // t.size)
-        sums = []
-        for lo in range(0, rows.size, step):
-            th = np.multiply.outer(lnx[rows[lo:lo + step]], t)
+
+        def sums(at):
+            th = np.multiply.outer(lnx[at], t)
             c = np.cos(th)
-            sums.append(np.vecdot(c, fr) + np.vecdot(np.sin(th, out=th), fi))
-        return scales[rows] * np.concatenate(sums)
+            return np.vecdot(c, fr) + np.vecdot(np.sin(th, out=th), fi)
+
+        return scales[rows] * _in_blocks(sums, rows, t.size)
 
     value, err, _, _, converged = _refine_rows(
         row_sums, _trapezoid(T), np.array(tols), max(quad.rel_tol, 1e-12),

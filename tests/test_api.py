@@ -76,3 +76,21 @@ ENTRY_POINTS = {
 def test_bad_positive_index_is_domain_error(entry, n):
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](n)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_exported_exceptions_are_used():
+    # an exception or warning the package exports is raised, caught or
+    # warned with somewhere in it; importing it alone does not count
+    src = Path(diwt.__file__).parent
+    used = set().union(*(_referenced_names(p) for p in src.glob("*.py")
+                         if p.name not in ("errors.py", "__init__.py")))
+    exported = [n for n in _exported_names(diwt)
+                if isinstance(getattr(diwt, n), type) and issubclass(getattr(diwt, n), Exception)]
+    assert exported
+    assert [n for n in exported if n not in used] == []

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 from scipy.special import k0
@@ -32,6 +33,10 @@ def read_csv(text):
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+SCHEMAS = {**{f"config-{k}": v for k, v in cli._SCHEMAS.items()},
+           **{f"params-{k}": v for k, v in cli._EVAL_PARAM_SCHEMAS.items()}}
 
 
 class TestUsageAndConfig:
@@ -93,6 +98,27 @@ class TestUsageAndConfig:
     def test_out_of_domain_mu_maps_to_usage(self, tmp_path):
         cfg = {"mu": 0.75, "coefficients": [1.0], "x_grid": [1.0]}
         assert run_cli(tmp_path, "forward", cfg) == 2
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_schema_passes_its_metaschema(self, name):
+        schema = SCHEMAS[name]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("forward", {"mu": 0.0, "coefficients": [1.0], "x_grid": [1.0], "bogus": 1}),
+        ("invert", {"mu": 0.0, "coefficients": [1.0], "n_range": [0, "2"]}),
+        ("invert", {"mu": "0", "n_range": [1, 1]}),
+        ("eval", {"function": "Z", "points": []}),
+    ])
+    def test_validation_message_is_that_of_jsonschema(self, command, cfg):
+        # the cached validator raises what jsonschema.validate raises, twice
+        schema = cli._SCHEMAS[command]
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, schema)
+        for _ in range(2):
+            with pytest.raises(cli._UsageError) as got:
+                cli._validate(cfg, schema, "bad")
+            assert str(got.value) == f"bad: {expected.value.message}"
 
 
 class TestEval:

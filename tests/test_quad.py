@@ -373,19 +373,20 @@ def test_line_rows_blocks_stay_under_cap(monkeypatch):
         sizes = []
 
         def G(s, rows):
-            sizes.append(len(rows) * s.size)
+            sizes.append((len(rows), s.size))
             return sp.gamma(s) * np.exp(-s * lnx[rows, None])
 
         return integrate_vertical_line_rows(G, mb, [1e-12] * lnx.size), sizes
 
     wide, sizes = run()
-    assert quad._LINE_BLOCK == 2 ** 16
-    assert max(sizes) <= 2 ** 16 < sum(sizes)
+    assert quad._BLOCK == 2 ** 16
+    assert max(r * w for r, w in sizes) <= 2 ** 16 < sum(r * w for r, w in sizes)
     assert all(r.converged for r in wide)
-    # a cap below one row's nodes splits the nodes too; nothing else changes
-    monkeypatch.setattr(quad, "_LINE_BLOCK", 100)
+    # a cap below one row's nodes asks for one row at a time; nothing changes
+    monkeypatch.setattr(quad, "_BLOCK", 100)
     narrow, sizes = run()
-    assert max(sizes) <= 100
+    assert all(r * w <= max(100, w) for r, w in sizes)
+    assert any(w > 100 for _, w in sizes)
     for a, b in zip(wide, narrow):
         _same_result(a, b)
     _same_result(wide[7], integrate_vertical_line(lambda s: sp.gamma(s) * np.exp(-s * lnx[7]),
@@ -434,7 +435,7 @@ def test_line_rows_property_each_row_equals_its_own_integral(n, seed, block):
     which.insert(refused, "refused")
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(quad, "_LINE_BLOCK", block)
+            mp.setattr(quad, "_BLOCK", block)
         rows = integrate_vertical_line_rows(_family(funcs, []), LINE_MB, tols)
     alone = {}
     for k, g, tol, r in zip(which, funcs, tols, rows):

@@ -9,7 +9,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from diwt import specfun
+from diwt import quad, specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, PoleError, \
     PrecisionBudgetExceeded
 from diwt.quad import MellinBarnesSpec, QuadSpec, integrate_vertical_line, \
@@ -396,7 +396,7 @@ def test_cylinder_value_independent_of_batch(alpha, zs, cut, seed):
     assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z[cut:]), alone[cut:])
     big = np.resize(z, 6000)  # more points than one block holds at level 0
     assert np.array_equal(parabolic_cylinder_d_scaled(alpha, big), np.resize(alone, 6000))
-    with mock.patch.object(specfun, "_CYL_BLOCK", 100):
+    with mock.patch.object(quad, "_BLOCK", 100):
         assert np.array_equal(parabolic_cylinder_d_scaled(alpha, z), alone)
 
 
@@ -705,7 +705,7 @@ def test_w_value_independent_of_batch(mu, tau, xs, cut, seed):
     perm = np.random.default_rng(seed).permutation(x.size)
     assert np.array_equal(specfun._w_scaled_many(mu, rho, x[perm]), alone[perm])
     assert np.array_equal(specfun._w_scaled_many(mu, rho, x[cut:]), alone[cut:])
-    with mock.patch.object(specfun, "_W_BLOCK", 100):
+    with mock.patch.object(quad, "_BLOCK", 100):
         assert np.array_equal(specfun._w_scaled_many(mu, rho, x), alone)
 
 
