@@ -11,14 +11,14 @@ per check id, so a (seed, selection) pair reproduces every draw.
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.special import kv as _real_order_k
 
 from .errors import DomainError, NonConvergence, UnknownCheckId
 from .kernels import cylinder_cos_kernel, cylinder_sin_kernel, erfc_cos_kernel
-from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite
+from .quad import (DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows,
+                   integrate_semi_infinite)
 from .specfun import (ComplexIndex, WhittakerOrder, _order_below_half, _positive,
                       _positive_index, _w_contour_many, bessel_k_imag, erfcx,
                       incomplete_bessel_j, log_gamma, whittaker_w_mb)
@@ -316,7 +316,10 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     int x^(-2 mu) J(x, 2n) int exp(-x^2/(4t)) f(t) t^(mu-2) dt dx with
     f the forward series of `seq`; rhs is the known coefficient a_n.
     This route never touches the cylinder kernel, so agreement validates
-    the kernel-based inversion derivation independently.  Cost grows
+    the kernel-based inversion derivation independently.  The inner
+    transforms of an outer level's new x run as the rows of one
+    row-rule call per piece, and a stalled inner row raises
+    NonConvergence.  Cost grows
     violently with n (the sinh amplification again); n is capped at 3
     and only double precision is offered.
     """
@@ -337,10 +340,11 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     pref = 4.0 ** mu / math.pi ** 2 * amp
     outer_tol = max(1e-3 / (abs(pref) * 30.0), 1e-11)
     v_out = min(max(-math.log(outer_tol / 3.0), 16.0), 26.0)
-    # the inner Laplace transform is evaluated on intervals that do not
-    # depend on the outer abscissa, so the expensive forward-series
-    # values land on identical nodes and can be memoized, keyed on t: the
-    # nodes crowding either end of t = 1 round to the same t
+    # the inner Laplace transform runs on intervals that do not depend on
+    # the outer abscissa, so every x of an outer level is a row of one
+    # row-rule call per piece, and each level's forward-series values are
+    # taken once for all rows; f is memoized by t, since the nodes crowding
+    # either end of t = 1 round to the same t
     v_in_cut = 2.0 * v_out + 2.0 * math.log(2.0) + 8.0
     s_in_cut = 80.0
     fspec = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_refinements=12)
@@ -357,20 +361,30 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
         return np.array([f_known[t] * t ** power for t in ts])
 
     # the outer abscissae crowding x = 1 round to one x as well
-    @cache
-    def laplace_of_f(x: float) -> float:
-        xx = 0.25 * x * x
+    laplace: dict[float, float] = {}
 
-        def g_low(v):
-            return np.exp(-xx * np.exp(v)) * f_times([math.exp(-vi) for vi in v.tolist()],
-                                                     mu - 1.0)
+    def laplace_of_f(xs: list):
+        # the inner transform at every x; the x not met before are the rows
+        new = [x for x in dict.fromkeys(xs) if x not in laplace]
+        if new:
+            col = np.array(new)[:, None]
+            xx = 0.25 * col * col
 
-        def g_high(s):
-            return np.exp(-xx / (1.0 + s)) * f_times([1.0 + si for si in s.tolist()], mu - 2.0)
+            def g_low(v, rows):
+                return np.exp(-xx[rows] * np.exp(v)) * f_times(
+                    [math.exp(-vi) for vi in v.tolist()], mu - 1.0)
 
-        r1 = integrate_finite(g_low, 0.0, v_in_cut, inner_spec)
-        r2 = integrate_finite(g_high, 0.0, s_in_cut, inner_spec)
-        return r1.value + r2.value
+            def g_high(s, rows):
+                return np.exp(-xx[rows] / (1.0 + s)) * f_times(
+                    [1.0 + si for si in s.tolist()], mu - 2.0)
+
+            tols = [inner_spec.abs_tol] * len(new)
+            r1 = integrate_finite_rows(g_low, 0.0, v_in_cut, tols, inner_spec)
+            r2 = integrate_finite_rows(g_high, 0.0, s_in_cut, tols, inner_spec)
+            if not all(r.converged for r in r1 + r2):
+                raise NonConvergence("iterated inversion inner quadrature stalled")
+            laplace.update((x, a.value + b.value) for x, a, b in zip(new, r1, r2))
+        return np.array([laplace[x] for x in xs])
 
     ospec = QuadSpec(abs_tol=outer_tol, rel_tol=1e-8,
                      max_refinements=11, max_evals=quad.max_evals)
@@ -378,7 +392,7 @@ def check_iterated_inversion_route(seq: CoefficientSeq, mu: float, n: int = 1,
     def h_of(xs: list, power: float):
         # x and x**power as Python floats, one J call for every x
         return np.array([x ** power for x in xs]) * incomplete_bessel_j(np.array(xs), 2 * n) \
-            * np.array([laplace_of_f(x) for x in xs])
+            * laplace_of_f(xs)
 
     def h_low(v):
         return h_of([math.exp(-vi) for vi in v.tolist()], 1.0 - 2.0 * mu)

@@ -6,14 +6,17 @@ test_acceptance, so here each check gets representative points, its
 degenerate cases, and the reporting contract.
 """
 
+import ast
+import inspect
 import math
+import textwrap
 from collections import Counter
 
 import pytest
 from scipy.special import erfc as sp_erfc
 from scipy.special import k0 as sp_k0
 
-from diwt import oracles, quad, specfun
+from diwt import kernels, oracles, quad, specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, UnknownCheckId
 from diwt.oracles import (CANONICAL_CASES, CHECK_IDS, CheckReport,
                           check_bessel_index_bound,
@@ -23,7 +26,7 @@ from diwt.oracles import (CANONICAL_CASES, CHECK_IDS, CheckReport,
                           check_kernel_index_relation, check_kl_reduction,
                           check_whittaker_index_bound,
                           check_whittaker_laplace_bessel, run_suite)
-from diwt.transforms import CoefficientSeq
+from diwt.transforms import CoefficientSeq, ForwardHandle
 
 
 class TestReportContract:
@@ -192,6 +195,76 @@ class TestIteratedRoute:
         with pytest.raises(DomainError):
             check_iterated_inversion_route(seq, 0.0, 0)
 
+    @pytest.mark.parametrize("mu, lhs", [(0.0, 0.9999999363599558),
+                                         (0.25, 0.9999999364803381)])
+    def test_inner_transforms_run_as_rows(self, monkeypatch, mu, lhs):
+        # the canonical values pin the route; each outer integrand call
+        # makes at most one row-rule call per inner piece, for the x it has
+        # not met before, and no inner one-row integral
+        open_calls, per_call, inner_one_row = [], [], []
+        vec_call = quad._VecCall.__call__
+        one_row, rows = oracles.integrate_finite, oracles.integrate_finite_rows
+
+        def spy_call(self, x):
+            open_calls.append(0)
+            try:
+                return vec_call(self, x)
+            finally:
+                per_call.append(open_calls.pop())
+
+        def spy_one_row(*args, **kwargs):
+            if open_calls:
+                inner_one_row.append(args)
+            return one_row(*args, **kwargs)
+
+        def spy_rows(*args, **kwargs):
+            open_calls[-1] += 1
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(quad._VecCall, "__call__", spy_call)
+        monkeypatch.setattr(oracles, "integrate_finite", spy_one_row)
+        monkeypatch.setattr(oracles, "integrate_finite_rows", spy_rows)
+        r = check_iterated_inversion_route(CoefficientSeq((1.0,)), mu, 1)
+        assert r.lhs == lhs
+        assert not inner_one_row
+        assert sum(per_call) > 0
+        assert max(per_call) <= 2
+
+    def test_inner_stall_is_nonconvergence(self, monkeypatch):
+        # an unconverged inner row must not be summed into the outer integral
+        rows = oracles.integrate_finite_rows
+
+        def stall_first_row(*args, **kwargs):
+            rs = rows(*args, **kwargs)
+            rs[0].converged = False
+            return rs
+
+        monkeypatch.setattr(oracles, "integrate_finite_rows", stall_first_row)
+        with pytest.raises(NonConvergence, match="inner"):
+            check_iterated_inversion_route(CoefficientSeq((1.0,)), 0.0, 1)
+
+    def test_route_never_touches_the_kernel_path(self):
+        # the route validates the kernel-based inversion only while it shares
+        # no code with it: its body names nothing diwt.kernels defines, nor
+        # the series inversion, the coefficient transform or the kernel memo
+        kernel_tree = ast.parse(inspect.getsource(kernels))
+        defined = {node.name for node in kernel_tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in kernel_tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        assert {"cylinder_cos_kernel", "_KERNEL_MEMO", "KernelKind"} <= defined
+        body = ast.parse(textwrap.dedent(inspect.getsource(check_iterated_inversion_route)))
+        used = ({n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)})
+        assert "ForwardHandle" in used
+        assert not used & defined
+        banned = {"invert_series", "invert_many", "_kernel_eval_many",
+                  "kernel_memo_info", "kernel_memo_clear"}
+        assert not used & banned
+        assert not [u for u in used if u.startswith("coefficient_transform")]
+
 
 class TestSuiteRunner:
     def test_empty_selection(self):
@@ -255,25 +328,31 @@ class TestContourCallsPerIntegrandCall:
     ])
     def test_one_line_integral_per_integrand_call_and_abscissa(self, monkeypatch,
                                                                check, args):
-        # each call of a quadrature integrand on a node array opens a tally
-        # of the contour-W line integrals made inside it (innermost call
-        # first), keyed by (mu, index, abscissa)
+        # each call of a quadrature integrand on a node array, and each
+        # forward-series call (the iterated route's inner row integrands make
+        # one per level inside an outer integrand call), opens a tally of the
+        # contour-W line integrals made inside it (innermost call first),
+        # keyed by (mu, index, abscissa)
         open_calls, tallies = [], []
-        vec_call, line = quad._VecCall.__call__, specfun._w_contour_group
+        vec_call, forward = quad._VecCall.__call__, ForwardHandle.__call__
+        line = specfun._w_contour_group
 
-        def spy_call(self, x):
-            open_calls.append(Counter())
-            try:
-                return vec_call(self, x)
-            finally:
-                tallies.append(open_calls.pop())
+        def tallied(call):
+            def spy(self, *args, **kwargs):
+                open_calls.append(Counter())
+                try:
+                    return call(self, *args, **kwargs)
+                finally:
+                    tallies.append(open_calls.pop())
+            return spy
 
         def spy_line(mu, rho, gamma, xs, spec):
             if open_calls:
                 open_calls[-1][mu, rho, gamma] += 1
             return line(mu, rho, gamma, xs, spec)
 
-        monkeypatch.setattr(quad._VecCall, "__call__", spy_call)
+        monkeypatch.setattr(quad._VecCall, "__call__", tallied(vec_call))
+        monkeypatch.setattr(ForwardHandle, "__call__", tallied(forward))
         monkeypatch.setattr(specfun, "_w_contour_group", spy_line)
         assert check(*args).passed
         assert sum(sum(t.values()) for t in tallies) > 0
