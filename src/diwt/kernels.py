@@ -38,7 +38,6 @@ are remembered across calls in a bounded LRU memo (``kernel_memo_info``).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
@@ -46,6 +45,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__ as _tool_version
+from ._memo import LRUMemo, MemoInfo
 from .errors import DiwtError, DomainError, NonConvergence
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
 from .specfun import ComplexIndex, _cyl_profile, _order_below_half, _positive, _positive_index, \
@@ -103,28 +103,23 @@ def _kernel_eval(kind: KernelKind, mu: float, nu: complex, x: float,
     return _kernel_eval_many(kind, mu, [nu], [x], [quad])[0][0]
 
 
-# Least recently used kernel entries are evicted beyond this many.  An
-# entry takes about 280 bytes, and the first invert request at a mu adds
-# about 2,900 (n 1..3); later ones at that mu add almost none.
-_KERNEL_MEMO_SIZE = 1 << 14
-_KERNEL_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
-_memo_counts = {"hits": 0, "misses": 0}
-
-KernelMemoInfo = namedtuple("KernelMemoInfo", "hits misses entries")
+# Least recently used kernel entries are evicted beyond 16,384.  An entry
+# takes about 280 bytes, and the first invert request at a mu adds about
+# 2,900 (n 1..3); later ones at that mu add almost none.
+_KERNEL_MEMO = LRUMemo(1 << 14)
 
 
-def kernel_memo_info() -> KernelMemoInfo:
+def kernel_memo_info() -> MemoInfo:
     """Hits, misses and stored entries of the double-precision kernel memo.
 
     Counts run from import or the last ``kernel_memo_clear()``.
     """
-    return KernelMemoInfo(_memo_counts["hits"], _memo_counts["misses"], len(_KERNEL_MEMO))
+    return _KERNEL_MEMO.info()
 
 
 def kernel_memo_clear() -> None:
     """Empty the kernel memo and zero its counts."""
     _KERNEL_MEMO.clear()
-    _memo_counts.update(hits=0, misses=0)
 
 
 def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[tuple]]:
@@ -167,24 +162,15 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
               dtype is complex)
     per_index = [(nu, s.abs_tol) for nu, s in zip(ns, specs)]
     keys = [(shared, idx, x) for x in xs.tolist() for idx in per_index]
-    memo = _KERNEL_MEMO
-    triples = [memo.get(key) for key in keys]
-    todo = []
-    for r, t in enumerate(triples):
-        if t is None:
-            todo.append(r)
-        else:
-            memo.move_to_end(keys[r])
-    _memo_counts["hits"] += len(keys) - len(todo)
-    _memo_counts["misses"] += len(todo)
+    triples = _KERNEL_MEMO.lookup(keys)
+    todo = [r for r, t in enumerate(triples) if t is None]
     if todo:
         k = len(ns)
         done = _kernel_rows(kind, mu, ns, xs, specs, dtype,
                             np.array([r // k for r in todo]), np.array([r % k for r in todo]))
         for r, t in zip(todo, done):
-            triples[r] = memo[keys[r]] = t
-        while len(memo) > _KERNEL_MEMO_SIZE:
-            memo.popitem(last=False)
+            triples[r] = t
+        _KERNEL_MEMO.store([keys[r] for r in todo], done)
     return [triples[j:j + len(ns)] for j in range(0, len(triples), len(ns))]
 
 

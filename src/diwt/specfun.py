@@ -25,7 +25,9 @@ The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, with a convergent Kummer series in its place at
 small x for imaginary second indices, and the Bessel-Laplace route serves
 as an independent cross-check.  They share no quadrature path beyond the
-generic engines in :mod:`diwt.quad`.
+generic engines in :mod:`diwt.quad`.  Double-precision values of the default
+route are remembered across calls in a bounded LRU memo (``w_memo_info``);
+the Bessel-Laplace route computes every value it returns.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as _sp
 
+from ._memo import LRUMemo, MemoInfo
 from .errors import (
     DomainError,
     NonConvergence,
@@ -74,6 +77,8 @@ __all__ = [
     "whittaker_w_mb",
     "whittaker_w_bessel",
     "incomplete_bessel_j",
+    "w_memo_info",
+    "w_memo_clear",
 ]
 
 
@@ -337,8 +342,19 @@ def _incomplete_bessel_j_by_parts(x: float, n: int, quad: QuadSpec = DEFAULT_SPE
 # ---------------------------------------------------------------------------
 
 # Exponent budget for truncating the Laplace-type cylinder integral; the
-# discarded tail is below e^{-_CYL_L} relative to the peak.
+# discarded tail of e^{-s^2/2 - z s} is below e^{-_CYL_L} of its peak.
 _CYL_L = math.log(1e17) + 8.0
+# That budget ignores the weight s^(alpha-1), which from alpha of about 2.9
+# on moves the peak out and lifts the tail: the radius also keeps the cut
+# below e^{-_CYL_DROP} of the weighted peak (``_cyl_weighted_radius``).
+_CYL_DROP = math.log(1e17)
+_CYL_NEWTON_STEPS = 4
+# The quadrature's factor s^alpha / Gamma(alpha) is formed as exp(alpha ln s -
+# ln Gamma(alpha)) up to this alpha, which covers every order the kernels
+# take at |mu| <= 1/2 with the bits they had, and directly above it while
+# Gamma(alpha) is finite.
+_CYL_EXP_FACTOR_ALPHA = 3.0
+_CYL_GAMMA_MAX = 171.0
 _SQRT_PI = math.sqrt(math.pi)
 
 # The Maclaurin series below replaces the quadrature where the accuracy
@@ -496,7 +512,10 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
     # truncation radius: s^2/2 + z s = L, one stable formula for either sign
     s_star = 2.0 * _CYL_L / (z + np.sqrt(z * z + 2.0 * _CYL_L))
     a1 = alpha - 1.0
-    lg = math.lgamma(alpha)
+    # at any z the weighted peak lies at least L - a1 (1 + ln(L / a1)) above
+    # the cut (``_cyl_weighted_radius``), enough up to alpha of about 2.9
+    if a1 > 0.0 and _CYL_L - a1 * (1.0 + math.log(_CYL_L / a1)) < _CYL_DROP:
+        s_star = _cyl_weighted_radius(a1, z, s_star)
 
     def terms(zl, sl, u, log_u):
         # u^a1 e^{-s (s/2 + z)}, s = s_star u, built in one buffer
@@ -518,7 +537,39 @@ def _cyl_quadrature(alpha: float, z: np.ndarray, rel_tol: float,
     if not converged.all():
         worst = (change / np.maximum(np.abs(total), 1e-300))[~converged].max()
         raise NonConvergence(f"cylinder integral stalled at relative change {worst:.2e}")
-    return np.exp(alpha * np.log(s_star) - lg) * total
+    if _CYL_EXP_FACTOR_ALPHA < alpha < _CYL_GAMMA_MAX:
+        # each factor rounds once, where exp(alpha ln s - ln Gamma) carries
+        # alpha times the rounding of ln s: 40 ulp at alpha = 11
+        return s_star ** alpha / math.gamma(alpha) * total
+    return np.exp(alpha * np.log(s_star) - math.lgamma(alpha)) * total
+
+
+def _cyl_weighted_radius(a1: float, z: np.ndarray, s_star: np.ndarray) -> np.ndarray:
+    """s_star, widened where the weight s^a1 keeps the cut tail above _CYL_DROP.
+
+    With h(s) = s^2/2 + z s - a1 ln s the integrand is e^{-h}, which peaks
+    at p = 2 a1 / (z + sqrt(z^2 + 4 a1)), where h(p) = a1 (1 - ln p) - p^2/2.
+    Where h(s_star) - h(p) falls short of _CYL_DROP the radius is its root,
+    by _CYL_NEWTON_STEPS steps of Newton's method from s_star, or from 2p if
+    that lies further out: h is convex and rises right of p, so every step
+    lands right of the root, and four reach it to rounding up to alpha = 11.
+    Since s_star / p < L / a1 at every z, a shortfall needs
+    a1 (1 + ln(L / a1)) > L - _CYL_DROP.
+    """
+    p = 2.0 * a1 / (z + np.sqrt(z * z + 4.0 * a1))
+
+    def excess(s, zs, ps):
+        return s * (0.5 * s + zs) - a1 * np.log(s / ps) + 0.5 * ps * ps - (a1 + _CYL_DROP)
+
+    short = excess(s_star, z, p) < 0.0
+    if short.any():
+        zs, ps = z[short], p[short]
+        s = np.maximum(s_star[short], 2.0 * ps)
+        for _ in range(_CYL_NEWTON_STEPS):
+            s = s - excess(s, zs, ps) / (s + zs - a1 / s)
+        s_star = s_star.copy()
+        s_star[short] = s
+    return s_star
 
 
 def parabolic_cylinder_d(nu: float, z: float, quad: QuadSpec = DEFAULT_SPEC) -> float:
@@ -645,6 +696,10 @@ def _contour_factor(mu: float, rho: complex, gamma: float) -> _ContourFactor:
 # saddle, and the cancellation along the line costs 3.6e-8 relative at
 # x = 100, 5e-5 at 140 and 1e-1 at 200 against mpmath.
 _W_CONTOUR_X_MAX = 100.0
+# Smallest x the contour takes on any abscissa: below it the lobes of the
+# line integral cancel to nothing (tools/w_accuracy_map.py), and an answer
+# could be off by any factor (7e-39 for 2.1e-45 at mu 0, tau 1/4, x 1e-90).
+_W_CONTOUR_X_MIN = 1e-30
 
 
 def _auto_gamma(mu: float, rho: complex, x: float) -> float:
@@ -677,8 +732,8 @@ def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
     own peak, tolerance and checks, so its value equals a one-x call bit
     for bit; the first x that fails, group by group, raises.  A second index
     that is neither real nor imaginary raises OrderError (the line is
-    folded onto t >= 0 by conjugate symmetry), and x > 100 without a
-    `gamma` raises PrecisionBudgetExceeded.
+    folded onto t >= 0 by conjugate symmetry), and x < 1e-30, or x > 100
+    without a `gamma`, raises PrecisionBudgetExceeded.
     """
     if rho.real != 0.0 and rho.imag != 0.0:
         raise OrderError(
@@ -692,6 +747,9 @@ def _w_contour_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC,
             raise PrecisionBudgetExceeded(
                 f"the contour for W resolves x <= {_W_CONTOUR_X_MAX:g} on its own "
                 f"abscissa, got x={x}")
+        if x < _W_CONTOUR_X_MIN:
+            raise PrecisionBudgetExceeded(
+                f"the contour for W resolves x >= {_W_CONTOUR_X_MIN:g}, got x={x}")
         groups.setdefault(_auto_gamma(mu, rho, x) if gamma is None else gamma, []).append(i)
     out = np.empty(len(xs))
     for gam, idx in groups.items():
@@ -768,6 +826,25 @@ _W_SERIES_TAU = (0.5, 64.0)
 _W_SERIES_MU = 10.0
 
 
+# Least recently used W values are evicted beyond 16,384.  An entry takes
+# about 195 bytes; 60 invert cells (3 mus, n 1..3) leave about 13,400 keys
+# and 20 coeff-profile cells about 5,000.
+_W_MEMO = LRUMemo(1 << 14)
+
+
+def w_memo_info() -> MemoInfo:
+    """Hits, misses and stored entries of the double-precision W memo.
+
+    Counts run from import or the last ``w_memo_clear()``.
+    """
+    return _W_MEMO.info()
+
+
+def w_memo_clear() -> None:
+    """Empty the W memo and zero its counts."""
+    _W_MEMO.clear()
+
+
 def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -> np.ndarray:
     """e^{-x/2} W_{mu, rho}(x) at every x of xs: the default double-precision route.
 
@@ -776,8 +853,35 @@ def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -
     every other x, and every x of any other (mu, rho), goes to
     ``_w_contour_many``.  Both routes fix a value from (mu, rho, x, quad)
     alone, so a value never depends on the batch that holds it.
+
+    So each value is remembered across calls, keyed by what fixes its bits:
+    mu, rho, x and the QuadSpec fields the contour reads (rel_tol,
+    max_refinements, max_evals).  A call computes only the x it has not
+    seen, in one ``_w_scaled_routed`` call, and takes the rest from the memo
+    (``w_memo_info``); a batch that raises stores nothing.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
+    # what every x shares, as one string: a str keeps its hash, so a key
+    # hashes without walking the shared fields again (repr keeps every bit)
+    shared = repr((float(mu), rho.real, rho.imag, quad.rel_tol, quad.max_refinements,
+                   quad.max_evals))
+    keys = [(shared, x) for x in xs.tolist()]
+    vals = _W_MEMO.lookup(keys)
+    todo = [i for i, v in enumerate(vals) if v is None]
+    if len(todo) == len(keys):
+        out = _w_scaled_routed(mu, rho, xs, quad)
+        _W_MEMO.store(keys, out.tolist())
+        return out
+    if todo:
+        done = _w_scaled_routed(mu, rho, xs[todo], quad).tolist()
+        for i, v in zip(todo, done):
+            vals[i] = v
+        _W_MEMO.store([keys[i] for i in todo], done)
+    return np.array(vals, dtype=float)
+
+
+def _w_scaled_routed(mu: float, rho: complex, xs: np.ndarray, quad: QuadSpec) -> np.ndarray:
+    """``_w_scaled_many`` without the memo: each x to the series or the contour."""
     if not (rho.real == 0.0 and _W_SERIES_TAU[0] <= rho.imag <= _W_SERIES_TAU[1]
             and abs(mu) <= _W_SERIES_MU):
         return _w_contour_many(mu, rho, xs, quad)
@@ -857,10 +961,12 @@ def whittaker_w_mb(order: WhittakerOrder, x: float, gamma: float | None = None,
     ``_w_scaled_many``: for 1/2 <= |tau| <= 64 and |mu| <= 10 every
     x <= 0.05 is summed from the convergent Kummer series (DLMF 13.14.33),
     and every other (mu, tau, x) is the Mellin-Barnes contour integral,
-    on an abscissa chosen from (mu, x).  A given `gamma` always takes the
-    contour on that abscissa, and extended precision takes mpmath's
-    contour quadrature.  With scaled=True the value e^{-x/2} W is returned
-    instead, which is the form every transform in this package consumes.
+    on an abscissa chosen from (mu, x); values are remembered across calls
+    (``w_memo_info``).  A given `gamma` always takes the contour on that
+    abscissa, and extended precision takes mpmath's contour quadrature.  The
+    contour refuses x < 1e-30 on any abscissa.  With scaled=True the value
+    e^{-x/2} W is returned instead, which is the form every transform in
+    this package consumes.
     """
     xf = _positive(x, "whittaker_w_mb")
     rho = complex(0.0, abs(float(order.tau)))

@@ -163,7 +163,7 @@ def test_domain_errors():
     (KernelKind.ERFC_COS, 0.0, [1.0, 2.0, 3.0]),
     (KernelKind.CYLINDER_SIN, -0.25, [1.0, 2.0, 3.0]),
 ], ids=["cos", "erfc", "sin"])
-def test_many_x_equals_one_x_calls(kind, mu, ns, cold_kernels):
+def test_many_x_equals_one_x_calls(kind, mu, ns, cold_memos):
     # rows are (x, index) pairs on shared u nodes, with one cylinder call
     # per level for the open x; each entry is that of a call at its x
     # alone, every call integrated from an empty memo
@@ -172,12 +172,12 @@ def test_many_x_equals_one_x_calls(kind, mu, ns, cold_kernels):
     many = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
     assert len(many) == len(xs)
     for x, got in zip(xs, many):
-        cold_kernels()
+        cold_memos()
         assert got == kernels._kernel_eval_many(kind, mu, ns, [x], specs)[0]
         if kind is not KernelKind.CYLINDER_COS:
             # a real family: each row is also its own one-index integral
             for n, q, entry in zip(ns, specs, got):
-                cold_kernels()
+                cold_memos()
                 assert entry == kernels._kernel_eval(kind, mu, n, x, q)
     assert kernel_memo_info().hits == 0
 
@@ -193,7 +193,7 @@ _CYL_PROFILE_CALLERS = {
 
 
 @pytest.mark.parametrize("caller", _CYL_PROFILE_CALLERS)
-def test_cylinder_profile_calls_repeat_no_point(caller, cold_kernels):
+def test_cylinder_profile_calls_repeat_no_point(caller, cold_memos):
     # tanh-sinh nodes near u = 0 round cosh u to 1.0; each distinct point
     # goes to cylinder D once per call, and nothing else changes; both
     # calls start from an empty kernel memo
@@ -206,7 +206,7 @@ def test_cylinder_profile_calls_repeat_no_point(caller, cold_kernels):
     xs = [0.3, 1.7, 5.0, 40.0]
     with mock.patch.object(specfun, "parabolic_cylinder_d_scaled", spy):
         spied = _CYL_PROFILE_CALLERS[caller](xs)
-    cold_kernels()
+    cold_memos()
     direct = _CYL_PROFILE_CALLERS[caller](xs)
     assert len(calls) > 3
     for z in calls:
@@ -272,7 +272,7 @@ def test_table_single_entry():
     assert tab.values[0][0] == erfc_cos_kernel(1, 1.0)
 
 
-def test_table_grid_bit_identical(cold_kernels):
+def test_table_grid_bit_identical(cold_memos):
     ns = [1, 2, 3]
     xs = [0.5, 1.0, 2.0, 4.0]
     tab = build_kernel_table(KernelKind.ERFC_COS, 0.0, ns, xs)
@@ -280,7 +280,7 @@ def test_table_grid_bit_identical(cold_kernels):
     assert not tab.failures
     for i, n in enumerate(ns):
         for j, x in enumerate(xs):
-            cold_kernels()
+            cold_memos()
             assert tab.values[i][j] == erfc_cos_kernel(n, x)
 
 
@@ -369,8 +369,8 @@ def test_memo_warm_entries_equal_cold_ones(batch):
     kernels.kernel_memo_clear()
 
 
-def test_memo_evicts_least_recently_used(cold_kernels, monkeypatch):
-    monkeypatch.setattr(kernels, "_KERNEL_MEMO_SIZE", 4)
+def test_memo_evicts_least_recently_used(cold_memos, monkeypatch):
+    monkeypatch.setattr(kernels._KERNEL_MEMO, "size", 4)
 
     def looked_up(*xs):
         # (hits, misses) of one two-index call at xs
@@ -389,7 +389,7 @@ def test_memo_evicts_least_recently_used(cold_kernels, monkeypatch):
     assert kernel_memo_info().entries == 4
 
 
-def test_extended_precision_never_touches_the_memo(cold_kernels, monkeypatch):
+def test_extended_precision_never_touches_the_memo(cold_memos, monkeypatch):
     monkeypatch.setattr(kernels, "_kernel_rows", _no_integral)
     ext = QuadSpec(precision="extended", dps=15)
     a = erfc_cos_kernel(1, 1.0, ext)
@@ -397,8 +397,9 @@ def test_extended_precision_never_touches_the_memo(cold_kernels, monkeypatch):
     assert tuple(kernel_memo_info()) == (0, 0, 0)
 
 
-def test_warm_inversion_grid_equals_cold(cold_kernels):
-    # the criterion-1 grid: every entry of the second pass is a memo hit
+def test_warm_inversion_grid_equals_cold(cold_memos):
+    # the criterion-1 grid: every kernel entry and every W value of the
+    # second pass is a memo hit
     seq = (1.0, 0.5, -0.25)
 
     def grid():
@@ -406,12 +407,15 @@ def test_warm_inversion_grid_equals_cold(cold_kernels):
                             [1, 2, 3]) for mu in (-0.25, 0.0, 0.25)]
 
     cold = grid()
-    first = kernel_memo_info()
+    first, first_w = kernel_memo_info(), specfun.w_memo_info()
     assert first.misses == first.entries > 0
+    assert first_w.misses == first_w.entries > 0
     warm = grid()
-    second = kernel_memo_info()
+    second, second_w = kernel_memo_info(), specfun.w_memo_info()
     assert second.misses == first.misses
     assert second.hits - first.hits >= first.misses
+    assert second_w.misses == first_w.misses
+    assert second_w.hits - first_w.hits >= first_w.misses
     for cold_row, warm_row in zip(cold, warm):
         for c, w in zip(cold_row, warm_row):
             assert (w.value, w.error_bound, w.meta) == (c.value, c.error_bound, c.meta)

@@ -266,6 +266,24 @@ class TestIteratedRoute:
         assert not [u for u in used if u.startswith("coefficient_transform")]
 
 
+def test_oracles_name_no_memo():
+    # the Bessel-Laplace route and the full-range oracles check the memoized
+    # evaluators only while they compute every value themselves: none names
+    # a memo or the memoized entry points
+    from diwt.transforms import _function_from_profile_full_range
+
+    banned = {"_W_MEMO", "_KERNEL_MEMO", "LRUMemo", "w_memo_info", "w_memo_clear",
+              "kernel_memo_info", "kernel_memo_clear", "_w_scaled_many",
+              "_kernel_eval_many", "whittaker_w_mb"}
+    for oracle in (specfun.whittaker_w_bessel, kernels._cylinder_sin_kernel_full_range,
+                   _function_from_profile_full_range):
+        body = ast.parse(textwrap.dedent(inspect.getsource(oracle)))
+        used = ({n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)})
+        assert "integrate_finite" in used
+        assert not used & banned, oracle.__name__
+
+
 class TestSuiteRunner:
     def test_empty_selection(self):
         assert run_suite([], trials=5, seed=1) == []
@@ -326,7 +344,7 @@ class TestContourCallsPerIntegrandCall:
         (check_whittaker_laplace_bessel, (0.1, 0.45 + 0.0j, 2.0)),
         (check_iterated_inversion_route, (CoefficientSeq((1.0,)), 0.0, 1)),
     ])
-    def test_one_line_integral_per_integrand_call_and_abscissa(self, monkeypatch,
+    def test_one_line_integral_per_integrand_call_and_abscissa(self, monkeypatch, cold_memos,
                                                                check, args):
         # each call of a quadrature integrand on a node array, and each
         # forward-series call (the iterated route's inner row integrands make
@@ -394,7 +412,7 @@ class TestBesselCallsPerIntegrandCall:
 
 
 class TestContourRouteKeepsClearOfTheSeries:
-    def test_laplace_check_and_contour_never_reach_the_series(self, monkeypatch):
+    def test_laplace_check_and_contour_never_reach_the_series(self, monkeypatch, cold_memos):
         # the Whittaker-Laplace check audits the contour route, and its nodes
         # reach t ~ 0.02, below the series cut: it must test the contour there
         def refuse(mu, tau, x):

@@ -421,6 +421,25 @@ def _cyl_reference(alpha, z):
                          for zi in z])
 
 
+@pytest.mark.parametrize("alpha", (8.0, 11.0))
+def test_cylinder_large_alpha_within_8_ulp(alpha):
+    # the quadrature's radius counts the weight s^(alpha-1): cut where
+    # e^{-s^2/2 - z s} alone had fallen by e^-47, it erred by 1,158 ulp at
+    # alpha = 8 and 1.4e5 at 11 between z = 2 and Z0.  On the bands of
+    # tools/cyl_accuracy_map.py below Z0 it is within 8 ulp; a denser grid
+    # finds up to 9 at alpha = 8, the rounding of the node exponents
+    z0, _ = _cyl_leaf_coeffs(alpha)
+    below = np.nextafter(z0, 0.0)
+    bands = np.concatenate([np.linspace(-1.5, -0.5, 13)[:-1], np.linspace(-0.5, 0.5, 12),
+                            np.linspace(0.5, 2.0, 13)[1:], np.linspace(2.0, 5.0, 13)[1:],
+                            np.linspace(5.0, below, 13)[1:]])
+    dense = np.linspace(-1.5, below, 80)
+    for z, bound in ((bands, 8.0), (dense, 16.0)):
+        ref = _cyl_reference(alpha, z)
+        got = parabolic_cylinder_d_scaled(alpha, z, rel_tol=1e-15)
+        assert np.max(np.abs(got - ref) / np.spacing(ref)) <= bound
+
+
 def test_cylinder_leaf_edge_is_the_smallest_quarter():
     # Z0 is the first quarter (from alpha + 1/2 on) where a term of the
     # large-z series falls to 2^-56, and the leaf keeps the terms before it
@@ -653,7 +672,7 @@ def test_w_series_meets_contour_at_cut(mu, tau):
     assert abs(outer - inner) <= 1e-13 * _w_envelope(mu, tau, cut)
 
 
-def test_w_default_route_takes_series_only_in_its_range(monkeypatch):
+def test_w_default_route_takes_series_only_in_its_range(monkeypatch, cold_memos):
     # below the cut, in double precision with no abscissa, tau in
     # [1/2, 64] and |mu| <= 10 take the series; every other request reaches
     # the contour or mpmath with the value it had before the series existed
@@ -698,15 +717,150 @@ def test_w_value_independent_of_batch(mu, tau, xs, cut, seed):
     # the series takes a fixed term list per (mu, tau) and the contour stops
     # each x on its own, so a batch changes no value, on either side of the
     # cut or straddling it, or with the contour's rows spread over blocks
+    # each call starts from an empty W memo, so it computes every value
+    def fresh(xs):
+        specfun.w_memo_clear()
+        return specfun._w_scaled_many(mu, rho, xs)
+
     rho = complex(0.0, tau)
     x = np.array(xs)
-    alone = np.array([specfun._w_scaled_many(mu, rho, [xi])[0] for xi in xs])
-    assert np.array_equal(specfun._w_scaled_many(mu, rho, x), alone)
+    alone = np.array([fresh([xi])[0] for xi in xs])
+    assert np.array_equal(fresh(x), alone)
     perm = np.random.default_rng(seed).permutation(x.size)
-    assert np.array_equal(specfun._w_scaled_many(mu, rho, x[perm]), alone[perm])
-    assert np.array_equal(specfun._w_scaled_many(mu, rho, x[cut:]), alone[cut:])
+    assert np.array_equal(fresh(x[perm]), alone[perm])
+    assert np.array_equal(fresh(x[cut:]), alone[cut:])
     with mock.patch.object(quad, "_BLOCK", 100):
-        assert np.array_equal(specfun._w_scaled_many(mu, rho, x), alone)
+        assert np.array_equal(fresh(x), alone)
+    specfun.w_memo_clear()
+
+
+# x on both sides of the series cut; tau 1/2..2 with x <= 0.05 takes the
+# series, everything else the contour
+_W_MEMO_X = (1e-6, 0.003, 0.05, float(np.nextafter(0.05, 1.0)), 0.7, 3.0, 12.0)
+# the first two share a key (abs_tol does not enter the double route)
+_W_MEMO_SPECS = (QuadSpec(), QuadSpec(abs_tol=1e-10), QuadSpec(rel_tol=1e-11),
+                 QuadSpec(max_refinements=13), QuadSpec(max_evals=1_000_000))
+_W_MEMO_RHOS = (0.5j, 1j, 2j, complex(0.3, 0.0))
+
+
+def _w_memo_key(spec):
+    return spec.rel_tol, spec.max_refinements, spec.max_evals
+
+
+@st.composite
+def _w_memo_batches(draw):
+    # a batch and a warming call that shares each of mu, rho, spec or x
+    # with it, or not
+    mu = draw(st.sampled_from((-0.25, 0.0, 0.25)))
+    rho = draw(st.sampled_from(_W_MEMO_RHOS))
+    spec = draw(st.sampled_from(_W_MEMO_SPECS))
+    xs = draw(st.lists(st.sampled_from(_W_MEMO_X), min_size=1, max_size=6))
+    part = (draw(st.sampled_from((mu, -0.1))), draw(st.sampled_from((rho, 1.5j))),
+            draw(st.sampled_from(_W_MEMO_SPECS)),
+            draw(st.lists(st.sampled_from(_W_MEMO_X), min_size=1, max_size=6)))
+    return mu, rho, spec, xs, part
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(batch=_w_memo_batches())
+def test_w_memo_warm_values_equal_cold_ones(batch):
+    # a batch warmed by another call returns the bits of its cold call, on
+    # the series and the contour alike; it hits exactly at the x whose key
+    # (mu, rho, x, rel_tol, max_refinements, max_evals) the warming call stored
+    mu, rho, spec, xs, (p_mu, p_rho, p_spec, p_xs) = batch
+    specfun.w_memo_clear()
+    cold = specfun._w_scaled_many(mu, rho, xs, spec)
+    specfun.w_memo_clear()
+    specfun._w_scaled_many(p_mu, p_rho, p_xs, p_spec)
+    same = (p_mu, p_rho, _w_memo_key(p_spec)) == (mu, rho, _w_memo_key(spec))
+    before = specfun.w_memo_info()
+    warm = specfun._w_scaled_many(mu, rho, xs, spec)
+    after = specfun.w_memo_info()
+    assert np.array_equal(warm, cold)
+    assert after.hits - before.hits == (sum(x in p_xs for x in xs) if same else 0)
+    assert np.array_equal(specfun._w_scaled_many(mu, rho, xs, spec), cold)
+    assert specfun.w_memo_info().misses == after.misses
+    specfun.w_memo_clear()
+
+
+def test_w_memo_evicts_least_recently_used(cold_memos, monkeypatch):
+    monkeypatch.setattr(specfun._W_MEMO, "size", 4)
+
+    def looked_up(*xs):
+        # (hits, misses) of one call at xs
+        before = specfun.w_memo_info()
+        specfun._w_scaled_many(0.25, 1j, xs)
+        after = specfun.w_memo_info()
+        return after.hits - before.hits, after.misses - before.misses
+
+    assert looked_up(0.01, 0.5, 1.0, 2.0) == (0, 4)
+    assert looked_up(0.01) == (1, 0)
+    assert looked_up(3.0) == (0, 1)  # evicts x = 0.5, used longest ago
+    assert specfun.w_memo_info().entries == 4
+    assert looked_up(0.01, 1.0, 2.0, 3.0) == (4, 0)
+    assert looked_up(0.5) == (0, 1)
+    assert specfun.w_memo_info().entries == 4
+
+
+def test_w_memo_never_stores_a_refused_batch(cold_memos, monkeypatch):
+    # x > 100 is refused on the contour's own abscissa, a stall raises
+    # NonConvergence: each raises again on repeat, and nothing is stored
+    for _ in range(2):
+        with pytest.raises(PrecisionBudgetExceeded):
+            specfun._w_scaled_many(0.25, 1j, [1.0, 150.0])
+    assert specfun.w_memo_info() == (0, 4, 0)
+
+    def stall(mu, rho, gamma, xs, spec):
+        raise NonConvergence("stalled")
+
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_w_contour_group", stall)
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                specfun._w_scaled_many(0.25, 1j, [0.01, 2.0])
+    assert specfun.w_memo_info().entries == 0
+    got = specfun._w_scaled_many(0.25, 1j, [0.01, 2.0])
+    assert got[1] == specfun._w_contour_general(0.25, 1j, 2.0)
+    assert specfun.w_memo_info().entries == 2
+
+
+def test_w_memo_bypassed_by_extended_precision(cold_memos, monkeypatch):
+    from diwt.transforms import CoefficientSeq, ForwardHandle
+
+    def no_double(*args):
+        raise AssertionError("the double route ran for an extended request")
+
+    monkeypatch.setattr(specfun, "_w_scaled_routed", no_double)
+    ext = QuadSpec(precision="extended", dps=15)
+    a = whittaker_w_mb(WhittakerOrder(0.25, 1.0), 0.7, quad=ext, scaled=True)
+    assert whittaker_w_mb(WhittakerOrder(0.25, 1.0), 0.7, quad=ext, scaled=True) == a
+    f = ForwardHandle(CoefficientSeq((1.0,)), 0.25)
+    assert abs(float(f(0.7, ext)) - float(a)) <= 1e-13
+    assert tuple(specfun.w_memo_info()) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("mu, rho", [(0.0, 0.25j), (0.0, 0j), (0.25, 0.45j),
+                                     (0.1, complex(0.45, 0.0)), (-10.5, 1j)])
+def test_w_contour_refuses_below_its_x_floor(mu, rho):
+    # outside the series leaf the contour answered any x: at mu 0, tau 1/4
+    # and x 1e-90 it gave 7.4e-39 where mpmath gives 2.1e-45, and 1.5e-39
+    # for 1.2e-43 at tau 0; below 1e-30 it now refuses
+    floor = specfun._W_CONTOUR_X_MIN
+    for x in (1e-90, np.nextafter(floor, 0.0)):
+        with pytest.raises(PrecisionBudgetExceeded):
+            specfun._w_contour_many(mu, rho, [1.0, x])
+        with pytest.raises(PrecisionBudgetExceeded):
+            specfun._w_scaled_many(mu, rho, [x])
+    assert math.isfinite(specfun._w_contour_general(mu, rho, floor))
+    assert math.isfinite(specfun._w_contour_general(mu, rho, floor, gamma=0.5))
+    with pytest.raises(PrecisionBudgetExceeded):
+        specfun._w_contour_general(mu, rho, 1e-40, gamma=0.5)
+
+
+def test_w_tiny_x_examples_refused():
+    for tau in (0.25, 0.0):
+        with pytest.raises(PrecisionBudgetExceeded):
+            whittaker_w_mb(WhittakerOrder(0.0, tau), 1e-90, scaled=True)
 
 
 def test_w_reduces_to_k_route_bessel():

@@ -353,14 +353,14 @@ class TestSharedNodes:
     # truncation point (and so every node), n = 3 gets its own
     SPEC = QuadSpec(abs_tol=1000.0, rel_tol=1e-8)
 
-    def test_invert_many_equals_per_index_calls(self, cold_kernels):
+    def test_invert_many_equals_per_index_calls(self, cold_memos):
         f, params = _Cheap(), TransformParams(0.0)
         many = invert_many(f, params, [1, 2, 3], self.SPEC)
         tols = [r.meta["kernel_tolerance"] for r in many]
         assert len(set(tols)) == 3
         assert len({r.meta["outer_tolerance"] for r in many}) == 3
         for n, r in zip([1, 2, 3], many):
-            cold_kernels()
+            cold_memos()
             one = invert_series(f, params, n, self.SPEC)
             assert r.value == one.value
             assert r.error_bound == one.error_bound
@@ -476,7 +476,7 @@ class TestOneEvaluationPerNode:
     # must see each distinct t of a level once, with values unchanged
 
     @pytest.fixture
-    def half_lines(self, monkeypatch, cold_kernels):
+    def half_lines(self, monkeypatch, cold_memos):
         calls = []
         real = transforms._half_line
 
@@ -489,7 +489,7 @@ class TestOneEvaluationPerNode:
 
             got = real(spy, p, f, tols, spec, name)
             # the per-node run integrates its kernel entries afresh
-            cold_kernels()
+            cold_memos()
             mapped = []
             calls.append((name, batches, mapped, got,
                           _per_node_half_line(H, p, f, tols, spec, mapped)))

@@ -6,8 +6,9 @@ series leaf (``specfun._w_series``) and of the Mellin-Barnes contour
 divided by the small-x envelope 2|A| sqrt(x), A = Gamma(-2i tau) /
 Gamma(1/2 - i tau - mu).  The envelope is the amplitude of the x^{+-i tau}
 oscillation, so the ratio stays meaningful at the zeros of W.  A contour
-cell reads ``raise(k)`` when k of its x raised a DiwtError.  The last cell
-ends at the series cut, x = 0.05, included.
+cell reads ``raise(k)`` when k of its x raised a DiwtError; below x = 1e-30
+the contour refuses every x.  The last cell ends at the series cut,
+x = 0.05, included.
 
 A second table covers the contour alone above the cut, x in (0.05, 500],
 with errors relative to |W| itself (W has no zeros there at these orders).
