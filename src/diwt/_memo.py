@@ -1,9 +1,10 @@
 """A bounded least-recently-used memo with hit and miss counts.
 
-The kernel entries of :mod:`diwt.kernels` and the scaled Whittaker values
-of :mod:`diwt.specfun` are each kept in one.  A caller looks up a batch of
-keys, computes what it missed, and stores those values; a key must name
-everything that fixes its value's bits.
+Every cache kept across calls is one: the kernel entries of
+:mod:`diwt.kernels`, and in :mod:`diwt.specfun` the scaled Whittaker values,
+the contour factors and each factor's node grids.  A caller asks for a
+batch of keys with ``fill``, which computes the missing values in one call;
+a key must name everything that fixes its value's bits.
 """
 
 from __future__ import annotations
@@ -13,35 +14,48 @@ from collections import OrderedDict, namedtuple
 MemoInfo = namedtuple("MemoInfo", "hits misses entries")
 
 
-class LRUMemo:
-    """At most ``size`` entries; storing past that evicts the least recently used."""
+class LRUMemo(OrderedDict):
+    """At most ``size`` entries, held in the memo itself from least to most
+    recently used; a stored value is never None."""
 
     def __init__(self, size: int):
+        super().__init__()
         self.size = size
-        self._entries: OrderedDict = OrderedDict()
         self._hits = self._misses = 0
 
-    def lookup(self, keys: list) -> list:
-        """The stored value of each key, or None; each key found becomes the most recent."""
-        entries = self._entries
-        got = list(map(entries.get, keys))
-        found = [key for key, value in zip(keys, got) if value is not None]
-        for key in found:
-            entries.move_to_end(key)
-        self._hits += len(found)
-        self._misses += len(keys) - len(found)
-        return got
+    def fill(self, keys: list, compute) -> list:
+        """The value of every key, in the order of ``keys``.
 
-    def store(self, keys: list, values: list) -> None:
-        entries = self._entries
-        entries.update(zip(keys, values))
-        while len(entries) > self.size:
-            entries.popitem(last=False)
+        Each key found becomes the most recent.  The positions in ``keys``
+        of the keys not found go, in order, to one ``compute(todo)`` call,
+        which returns their values in that order; those are then stored,
+        and the least recently used entries past ``size`` evicted.  If
+        ``compute`` raises, nothing is stored.
+        """
+        get, move = self.get, self.move_to_end
+        got, todo = [], []
+        for i, key in enumerate(keys):
+            value = get(key)
+            if value is None:
+                todo.append(i)
+            else:
+                move(key)
+            got.append(value)
+        self._hits += len(keys) - len(todo)
+        self._misses += len(todo)
+        if todo:
+            done = compute(todo)
+            for i, value in zip(todo, done):
+                got[i] = value
+                self[keys[i]] = value
+            while len(self) > self.size:
+                self.popitem(last=False)
+        return got
 
     def info(self) -> MemoInfo:
         """Hits and misses since creation or the last ``clear()``, and the stored entries."""
-        return MemoInfo(self._hits, self._misses, len(self._entries))
+        return MemoInfo(self._hits, self._misses, len(self))
 
     def clear(self) -> None:
-        self._entries.clear()
+        super().clear()
         self._hits = self._misses = 0

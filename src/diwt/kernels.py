@@ -162,16 +162,11 @@ def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[t
               dtype is complex)
     per_index = [(nu, s.abs_tol) for nu, s in zip(ns, specs)]
     keys = [(shared, idx, x) for x in xs.tolist() for idx in per_index]
-    triples = _KERNEL_MEMO.lookup(keys)
-    todo = [r for r, t in enumerate(triples) if t is None]
-    if todo:
-        k = len(ns)
-        done = _kernel_rows(kind, mu, ns, xs, specs, dtype,
-                            np.array([r // k for r in todo]), np.array([r % k for r in todo]))
-        for r, t in zip(todo, done):
-            triples[r] = t
-        _KERNEL_MEMO.store([keys[r] for r in todo], done)
-    return [triples[j:j + len(ns)] for j in range(0, len(triples), len(ns))]
+    k = len(ns)
+    triples = _KERNEL_MEMO.fill(keys, lambda todo: _kernel_rows(
+        kind, mu, ns, xs, specs, dtype,
+        np.array([r // k for r in todo]), np.array([r % k for r in todo])))
+    return [triples[j:j + k] for j in range(0, len(triples), k)]
 
 
 def _kernel_rows(kind: KernelKind, mu: float, ns: list, xs: np.ndarray, specs, dtype,

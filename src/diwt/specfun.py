@@ -25,15 +25,16 @@ The two Whittaker routes are deliberately kept separate: the contour route
 is the default evaluator, with a convergent Kummer series in its place at
 small x for imaginary second indices, and the Bessel-Laplace route serves
 as an independent cross-check.  They share no quadrature path beyond the
-generic engines in :mod:`diwt.quad`.  Double-precision values of the default
-route are remembered across calls in a bounded LRU memo (``w_memo_info``);
-the Bessel-Laplace route computes every value it returns.
+generic engines in :mod:`diwt.quad`.  Three bounded LRU memos
+(:class:`diwt._memo.LRUMemo`) serve the default route across calls: the
+double-precision W values (``w_memo_info``), the contour factors keyed by
+the exact (mu, rho, abscissa), and each factor's values on its trapezoid
+grids.  The Bessel-Laplace route computes every value it returns.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -616,7 +617,7 @@ class _ContourFactor:
         self.mu = mu
         self.rho = rho
         self.gamma = gamma
-        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._cache = LRUMemo(self._GRIDS)
         self._tail: tuple[float, float] | None = None
         self._peak: float | None = None
 
@@ -627,11 +628,11 @@ class _ContourFactor:
         point: ``_w_contour_group`` passes T and the node count of the
         trapezoid level on [0, T] that s = gamma + it walks.
         """
-        if grid is not None:
-            got = self._cache.get(grid)
-            if got is not None:
-                self._cache.move_to_end(grid)
-                return got
+        if grid is None:
+            return self._values(s)
+        return self._cache.fill([grid], lambda todo: [self._values(s)])[0]
+
+    def _values(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=complex)
         logs = (log_gamma(0.5 + self.rho + s) + log_gamma(0.5 - self.rho + s)
                 - log_gamma(1.0 - self.mu + s))
@@ -639,12 +640,7 @@ class _ContourFactor:
             raise PrecisionBudgetExceeded(
                 f"contour Gamma-factor (mu={self.mu}, rho={self.rho}) overflows double "
                 f"range on the line Re s = {self.gamma}")
-        vals = np.exp(logs)
-        if grid is not None:
-            self._cache[grid] = vals
-            if len(self._cache) > self._GRIDS:
-                self._cache.popitem(last=False)
-        return vals
+        return np.exp(logs)
 
     def peak(self) -> float:
         if self._peak is None:
@@ -674,22 +670,15 @@ class _ContourFactor:
         return self._tail
 
 
-# Least recently used contour factors are evicted beyond this many: one
+# Least recently used contour factors are evicted beyond 256: one
 # inversion request asks for about 60 contours per mu.
-_CONTOUR_CACHE_SIZE = 256
-_CONTOUR_CACHE: OrderedDict[tuple, _ContourFactor] = OrderedDict()
+_CONTOUR_CACHE = LRUMemo(256)
 
 
 def _contour_factor(mu: float, rho: complex, gamma: float) -> _ContourFactor:
-    key = (round(mu, 12), round(rho.real, 12), round(rho.imag, 12), round(gamma, 12))
-    got = _CONTOUR_CACHE.get(key)
-    if got is None:
-        got = _CONTOUR_CACHE[key] = _ContourFactor(mu, rho, gamma)
-        if len(_CONTOUR_CACHE) > _CONTOUR_CACHE_SIZE:
-            _CONTOUR_CACHE.popitem(last=False)
-    else:
-        _CONTOUR_CACHE.move_to_end(key)
-    return got
+    # the exact numbers, so that a factor never serves a nearby contour
+    key = (mu, rho.real, rho.imag, gamma)
+    return _CONTOUR_CACHE.fill([key], lambda todo: [_ContourFactor(mu, rho, gamma)])[0]
 
 
 # Largest x the contour takes on its own abscissa: round(x/2) is not the
@@ -866,18 +855,8 @@ def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -
     shared = repr((float(mu), rho.real, rho.imag, quad.rel_tol, quad.max_refinements,
                    quad.max_evals))
     keys = [(shared, x) for x in xs.tolist()]
-    vals = _W_MEMO.lookup(keys)
-    todo = [i for i, v in enumerate(vals) if v is None]
-    if len(todo) == len(keys):
-        out = _w_scaled_routed(mu, rho, xs, quad)
-        _W_MEMO.store(keys, out.tolist())
-        return out
-    if todo:
-        done = _w_scaled_routed(mu, rho, xs[todo], quad).tolist()
-        for i, v in zip(todo, done):
-            vals[i] = v
-        _W_MEMO.store([keys[i] for i in todo], done)
-    return np.array(vals, dtype=float)
+    return np.array(_W_MEMO.fill(keys, lambda todo: _w_scaled_routed(
+        mu, rho, xs[todo], quad).tolist()), dtype=float)
 
 
 def _w_scaled_routed(mu: float, rho: complex, xs: np.ndarray, quad: QuadSpec) -> np.ndarray:

@@ -51,7 +51,8 @@ from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
 from .specfun import _cyl_profile, _order_below_half, _positive, _positive_index, \
-    _w_mb_extended, _w_scaled_many, gamma_abs_squared, parabolic_cylinder_d_scaled
+    _positive_points, _w_mb_extended, _w_scaled_many, gamma_abs_squared, \
+    parabolic_cylinder_d_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +242,15 @@ class ProfileHandle(FunctionHandle):
         independent of the batch, so each value is the one-x value bit for
         bit.  Extended precision runs one x at a time.
         """
-        arr = np.asarray(x, dtype=float)
-        xs = arr.reshape(-1)
-        bad = xs[~(np.isfinite(xs) & (xs > 0.0))]
-        if bad.size:
-            _positive(bad[0], "function_from_profile")
+        xs, shape = _positive_points(x, "function_from_profile")
         if self.is_zero:
-            out = np.zeros(arr.shape)
+            out = np.zeros(shape)
         elif quad.precision == "extended":
             # mpmath evaluates one x at a time
             out = np.array([float(self._eval_mp(t, quad.dps)) for t in xs.tolist()])
         else:
             out = np.array(self._row_integral(xs, quad))
-        out = out.reshape(arr.shape)
+        out = out.reshape(shape)
         return out[()] if out.shape == () else out
 
     def _row_integral(self, xs: np.ndarray, quad: QuadSpec) -> list[float]:

@@ -600,7 +600,7 @@ def test_w_contour_fold_matches_full_line():
 
 def test_contour_factor_keeps_named_grids_least_recently_used(monkeypatch):
     cf = specfun._ContourFactor(0.25, 1j, 1.0)
-    monkeypatch.setattr(cf, "_GRIDS", 3)
+    monkeypatch.setattr(cf._cache, "size", 3)
     s = [1.0 + 1j * np.linspace(0.0, 4.0, 9 + k) for k in range(4)]
     first = cf.factor(s[0], "a")
     assert np.array_equal(first, cf.factor(s[0]))
@@ -615,6 +615,49 @@ def test_contour_factor_keeps_named_grids_least_recently_used(monkeypatch):
     specfun._w_contour_many(0.25, 1j, [1.3])
     grids = specfun._contour_factor(0.25, 1j, gam)._cache
     assert grids and all(v.size == n for (_, n), v in grids.items())
+
+
+def test_contour_factor_overflow_raises_again_and_stores_no_grid():
+    # log Gamma(200.5 +- i + it) twice less log Gamma(51 + it) is beyond e^709
+    cf = specfun._ContourFactor(150.0, 1j, 200.0)
+    s = 200.0 + 1j * np.linspace(0.0, 4.0, 9)
+    for _ in range(2):
+        with pytest.raises(PrecisionBudgetExceeded):
+            cf.factor(s, (4.0, 9))
+    assert len(cf._cache) == 0
+    assert cf._cache.info() == (0, 2, 0)
+
+
+def test_contour_cache_keeps_factors_least_recently_used(monkeypatch):
+    monkeypatch.setattr(specfun, "_CONTOUR_CACHE", specfun.LRUMemo(256))
+    monkeypatch.setattr(specfun._CONTOUR_CACHE, "size", 3)
+    a, b, c = (specfun._contour_factor(0.25, 1j, g) for g in (1.0, 2.0, 3.0))
+    assert specfun._contour_factor(0.25, 1j, 1.0) is a
+    d = specfun._contour_factor(0.25, 1j, 4.0)
+    assert list(specfun._CONTOUR_CACHE.values()) == [c, a, d]
+    assert specfun._contour_factor(0.25, 1j, 2.0) is not b
+    assert specfun._CONTOUR_CACHE.info() == (1, 5, 3)
+
+
+@pytest.mark.parametrize("route", ["contour", "w_mb"])
+def test_w_independent_of_nearby_orders_evaluated_before(route, cold_memos):
+    # a contour factor serves only its exact (mu, rho, gamma): keyed by
+    # numbers rounded to 12 digits, one made for mu = 0.1 + 3e-13 would serve
+    # mu = 0.1, and W, which the W memo keeps under the exact mu, would
+    # depend on what had been evaluated before
+    xs = (0.7, 1.3, 2.9, 7.5)
+
+    def w(mu):
+        if route == "contour":
+            return list(specfun._w_contour_many(mu, 1j, xs))
+        return [whittaker_w_mb(WhittakerOrder(mu, 1.0), x, scaled=True) for x in xs]
+
+    specfun._CONTOUR_CACHE.clear()
+    cold = w(0.1)
+    cold_memos()
+    specfun._CONTOUR_CACHE.clear()
+    w(0.1 + 3e-13)
+    assert w(0.1) == cold
 
 
 def test_w_contour_refuses_mixed_second_index():

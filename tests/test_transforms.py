@@ -628,6 +628,15 @@ class TestProfileAndSynthesis:
         p = FourierPolynomial(cosine_coeffs=(2.0, -1.0))
         assert function_from_profile(p, 0.0, 1.7) == 0.0
 
+    @pytest.mark.parametrize("sine", [(0.6,), ()])
+    @pytest.mark.parametrize("x, bad", [([1.0, math.nan], "nan"), (-1.0, "-1.0"),
+                                        ([[2.0, 0.0]], "0.0"), ([math.inf], "inf")])
+    def test_handle_refuses_first_point_not_finite_and_positive(self, sine, x, bad):
+        h = ProfileHandle(FourierPolynomial(sine_coeffs=sine, cosine_coeffs=(1.0,)), 0.25)
+        with pytest.raises(DomainError, match=f"^function_from_profile requires x > 0, "
+                                              f"got {bad}$"):
+            h(x)
+
     def test_profile_guards(self):
         with pytest.raises(DomainError):
             function_from_profile(PROFILE1, 0.0, 0.0)
