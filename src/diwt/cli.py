@@ -21,6 +21,7 @@ budget exceeded, 5 persistence errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -878,6 +879,8 @@ _COMMAND_HELP = {
 }
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diwt",

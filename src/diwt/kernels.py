@@ -31,14 +31,15 @@ Kernels at many x and indices are one row-wise u-integral with a row per
 open.  Cylinder D stops each point on its own and the row rule sums each
 row alone, so an entry does not depend on the batch that holds it: a
 table row, an inversion level and a one-x call give the same bits.  Nor
-does it depend on the data being transformed, so double-precision entries
-are remembered across calls in a bounded LRU memo (``kernel_memo_info``).
+does it depend on the data being transformed, so in double precision each
+index's column over a batch of x is remembered across calls in a bounded
+LRU memo (``kernel_memo_info``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -47,7 +48,8 @@ import numpy as np
 from . import __version__ as _tool_version
 from ._memo import LRUMemo, MemoInfo
 from .errors import DiwtError, DomainError, NonConvergence
-from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows
+from .quad import DEFAULT_SPEC, QuadSpec, _as_python_number, integrate_finite, \
+    integrate_finite_rows
 from .specfun import ComplexIndex, _cyl_profile, _order_below_half, _positive, _positive_index, \
     erfcx, parabolic_cylinder_d_scaled
 
@@ -103,16 +105,19 @@ def _kernel_eval(kind: KernelKind, mu: float, nu: complex, x: float,
     return _kernel_eval_many(kind, mu, [nu], [x], [quad])[0][0]
 
 
-# Least recently used kernel entries are evicted beyond 16,384.  An entry
-# takes about 280 bytes, and the first invert request at a mu adds about
-# 2,900 (n 1..3); later ones at that mu add almost none.
-_KERNEL_MEMO = LRUMemo(1 << 14)
+# Least recently used kernel columns are evicted beyond 16,384 points, one
+# point per (index, x).  A point takes about 32 bytes, keys and arrays by
+# sys.getsizeof after 60 invert cells (268 when each pair was its own
+# entry); the first invert request at a mu adds about 2,900 (n 1..3), and
+# later ones at that mu almost none.
+_KERNEL_MEMO = LRUMemo(1 << 14, points=lambda key: len(key[-1]) >> 3)
 
 
 def kernel_memo_info() -> MemoInfo:
-    """Hits, misses and stored entries of the double-precision kernel memo.
+    """Hits, misses and stored points of the double-precision kernel memo.
 
-    Counts run from import or the last ``kernel_memo_clear()``.
+    A point is one (index, x) entry; counts run from import or the last
+    ``kernel_memo_clear()``.
     """
     return _KERNEL_MEMO.info()
 
@@ -122,64 +127,80 @@ def kernel_memo_clear() -> None:
     _KERNEL_MEMO.clear()
 
 
+def _check_specs(specs) -> QuadSpec:
+    """The first of ``specs``, which may differ from it in abs_tol only."""
+    quad = specs[0]
+    shared = vars(quad)
+    if any(s is not quad and {**vars(s), "abs_tol": quad.abs_tol} != shared for s in specs):
+        raise ValueError("kernel specs for shared nodes may differ in abs_tol only")
+    return quad
+
+
 def _kernel_eval_many(kind: KernelKind, mu: float, ns, xs, specs) -> list[list[tuple]]:
     """Kernel integrals at several x for several indices on shared u nodes.
 
-    The rows of one row-wise u-integral are the (x, index) pairs.  The
-    profile (scaled cylinder function, or scaled erfc for ERFC_COS) does
-    not depend on the index, so each u level makes one profile call on
-    outer(sqrt(2x), cosh u) for the x with an open row (cylinder D once
-    per distinct cosh u), and only the trigonometric factor is formed per
-    index.  ``specs`` holds one QuadSpec per index; they may differ in
-    abs_tol only.  Returns, per x, one (value, error_estimate, converged)
-    per index.
+    ``specs`` holds one QuadSpec per index; they may differ in abs_tol
+    only.  Returns, per x, one (value, error_estimate, converged) per index.
+    Double precision runs through ``_kernel_columns``; extended precision
+    integrates each entry with mpmath and never touches the memo.
+    """
+    quad = _check_specs(specs)
+    if quad.precision == "extended":
+        return [[(_kernel_eval_mp(kind, mu, complex(nu), x, quad.dps), 10.0 ** (-quad.dps + 2),
+                  True) for nu in ns] for x in np.asarray(xs, dtype=float).reshape(-1).tolist()]
+    cols = [list(zip(map(_as_python_number, v.tolist()), e.tolist(), ok.tolist()))
+            for v, e, ok in zip(*_kernel_columns(kind, mu, ns, xs, specs))]
+    return [list(entries) for entries in zip(*cols)]
+
+
+def _kernel_columns(kind: KernelKind, mu: float, ns, xs, specs):
+    """(values, errors, converged) of every (index, x) pair, each of shape (len(ns), len(xs)).
+
+    Double precision only.  The rows of one row-wise u-integral are the
+    (x, index) pairs.  The profile (scaled cylinder function, or scaled
+    erfc for ERFC_COS) does not depend on the index, so each u level makes
+    one profile call on outer(sqrt(2x), cosh u) for the x with an open row
+    (cylinder D once per distinct cosh u), and only the trigonometric
+    factor is formed per index.  Values are complex whenever one index is
+    (a real index mixed with complex ones can then differ from its own call
+    in the last bit; see integrate_finite_rows), and real otherwise.
 
     Cylinder D stops each z point on its own and sums each point along its
     own nodes, and the row rule sums each row alone, so every entry equals
-    what a call for that x alone gives, bit for bit.  The rows are complex
-    whenever one index is (a real index mixed with complex ones can then
-    differ from its own call in the last bit; see integrate_finite_rows).
-
-    In double precision each entry is remembered across calls, keyed by
-    everything that fixes its bits: kind, mu, index, x, the row's QuadSpec
-    and the row dtype.  A call integrates only the entries it has not seen
-    and takes the rest from the memo (``kernel_memo_info``).
+    what a call for that x alone gives, bit for bit.  So each index's column
+    over the batch is remembered across calls, keyed by everything that
+    fixes its bits: kind, mu, the index, its abs_tol, the other QuadSpec
+    fields, the row dtype and the bytes of xs.  A call integrates the
+    indices it has not seen over the whole batch and takes the rest from
+    the memo (``kernel_memo_info``); stored arrays are read-only.
     """
     ns = [complex(nu) for nu in ns]
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    quad = specs[0]
-    if any(replace(s, abs_tol=quad.abs_tol) != quad for s in specs):
-        raise ValueError("kernel specs for shared nodes may differ in abs_tol only")
-    if quad.precision == "extended":
-        return [[(_kernel_eval_mp(kind, mu, nu, x, quad.dps), 10.0 ** (-quad.dps + 2), True)
-                 for nu in ns] for x in xs.tolist()]
-
+    quad = _check_specs(specs)
     dtype = complex if kind is KernelKind.CYLINDER_COS and any(nu.imag for nu in ns) else float
-    # what every row shares, as plain numbers so that a key hashes without
-    # calling back into Python; abs_tol is per index, and dps is unused in
-    # double precision
+    # what every column shares, as plain numbers so that a key hashes
+    # without calling back into Python; dps is unused in double precision
     shared = (kind.value, float(mu), quad.rel_tol, quad.max_refinements, quad.max_evals,
               dtype is complex)
-    per_index = [(nu, s.abs_tol) for nu, s in zip(ns, specs)]
-    keys = [(shared, idx, x) for x in xs.tolist() for idx in per_index]
-    k = len(ns)
-    triples = _KERNEL_MEMO.fill(keys, lambda todo: _kernel_rows(
-        kind, mu, ns, xs, specs, dtype,
-        np.array([r // k for r in todo]), np.array([r % k for r in todo])))
-    return [triples[j:j + k] for j in range(0, len(triples), k)]
+    at = xs.tobytes()
+    cols = _KERNEL_MEMO.fill([(shared, nu, s.abs_tol, at) for nu, s in zip(ns, specs)],
+                             lambda todo: _kernel_rows(kind, mu, ns, xs, specs, dtype, todo))
+    return tuple(np.array(part) for part in zip(*cols))
 
 
 def _kernel_rows(kind: KernelKind, mu: float, ns: list, xs: np.ndarray, specs, dtype,
-                 at_x: np.ndarray, at_n: np.ndarray) -> list[tuple]:
-    """(value, error_estimate, converged) of the rows (xs[at_x[r]], ns[at_n[r]]).
+                 todo: list) -> list[tuple]:
+    """Read-only (values, errors, converged) over xs of each index ns[i], i in ``todo``.
 
-    One row-wise u-integral in ``dtype``; each u level makes one profile
-    call for the x with an open row.
+    One row-wise u-integral in ``dtype`` with a row per (index, x) pair;
+    each u level makes one profile call for the x with an open row.
     """
     quad = specs[0]
     root2x = np.sqrt(2.0 * xs)
     rootx = np.sqrt(xs)
     inner = _inner_rel_tol(quad)
+    at_n = np.repeat(todo, xs.size)
+    at_x = np.tile(np.arange(xs.size), len(todo))
 
     if kind is KernelKind.ERFC_COS:
 
@@ -214,10 +235,16 @@ def _kernel_rows(kind: KernelKind, mu: float, ns: list, xs: np.ndarray, specs, d
 
     results = integrate_finite_rows(rows_at, 0.0, math.pi,
                                     [specs[i].abs_tol for i in at_n.tolist()], quad)
+    shape = (len(todo), xs.size)
+    values = np.array([r.value for r in results], dtype=dtype).reshape(shape)
+    errors = np.array([r.error_estimate for r in results]).reshape(shape)
+    converged = np.array([r.converged for r in results]).reshape(shape)
     if kind is KernelKind.CYLINDER_SIN:
         # even integrand: the [-pi, pi] kernel is twice the [0, pi] integral
-        return [(2.0 * r.value, 2.0 * r.error_estimate, r.converged) for r in results]
-    return [(r.value, r.error_estimate, r.converged) for r in results]
+        values, errors = 2.0 * values, 2.0 * errors
+    for a in (values, errors, converged):
+        a.flags.writeable = False
+    return list(zip(values, errors, converged))
 
 
 def _kernel_eval_mp(kind: KernelKind, mu: float, nu: complex, x: float, dps: int):

@@ -27,9 +27,9 @@ small x for imaginary second indices, and the Bessel-Laplace route serves
 as an independent cross-check.  They share no quadrature path beyond the
 generic engines in :mod:`diwt.quad`.  Three bounded LRU memos
 (:class:`diwt._memo.LRUMemo`) serve the default route across calls: the
-double-precision W values (``w_memo_info``), the contour factors keyed by
-the exact (mu, rho, abscissa), and each factor's values on its trapezoid
-grids.  The Bessel-Laplace route computes every value it returns.
+double-precision W values, one entry per batch of x (``w_memo_info``), the
+contour factors keyed by the exact (mu, rho, abscissa), and each factor's
+values on its trapezoid grids.  The Bessel-Laplace route computes every value it returns.
 """
 
 from __future__ import annotations
@@ -815,16 +815,18 @@ _W_SERIES_TAU = (0.5, 64.0)
 _W_SERIES_MU = 10.0
 
 
-# Least recently used W values are evicted beyond 16,384.  An entry takes
-# about 195 bytes; 60 invert cells (3 mus, n 1..3) leave about 13,400 keys
-# and 20 coeff-profile cells about 5,000.
-_W_MEMO = LRUMemo(1 << 14)
+# Least recently used W batches are evicted beyond 16,384 points, one point
+# per x.  A point takes about 23 bytes, keys and arrays by sys.getsizeof
+# after 60 invert cells (202 when each x was its own entry); those cells
+# (3 mus, n 1..3) leave about 13,600 points and 20 coeff-profile cells about
+# 5,100.
+_W_MEMO = LRUMemo(1 << 14, points=lambda key: len(key[1]) >> 3)
 
 
 def w_memo_info() -> MemoInfo:
-    """Hits, misses and stored entries of the double-precision W memo.
+    """Hits, misses and stored points of the double-precision W memo.
 
-    Counts run from import or the last ``w_memo_clear()``.
+    A point is one x; counts run from import or the last ``w_memo_clear()``.
     """
     return _W_MEMO.info()
 
@@ -843,20 +845,26 @@ def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -
     ``_w_contour_many``.  Both routes fix a value from (mu, rho, x, quad)
     alone, so a value never depends on the batch that holds it.
 
-    So each value is remembered across calls, keyed by what fixes its bits:
-    mu, rho, x and the QuadSpec fields the contour reads (rel_tol,
-    max_refinements, max_evals).  A call computes only the x it has not
-    seen, in one ``_w_scaled_routed`` call, and takes the rest from the memo
-    (``w_memo_info``); a batch that raises stores nothing.
+    So each batch is remembered across calls, keyed by what fixes its bits:
+    mu, rho, the QuadSpec fields the contour reads (rel_tol,
+    max_refinements, max_evals) and the bytes of xs.  A batch not seen is
+    computed whole in one ``_w_scaled_routed`` call, and a batch seen is
+    returned from the memo (``w_memo_info``) as a read-only array; a batch
+    that raises stores nothing.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     # what every x shares, as one string: a str keeps its hash, so a key
     # hashes without walking the shared fields again (repr keeps every bit)
     shared = repr((float(mu), rho.real, rho.imag, quad.rel_tol, quad.max_refinements,
                    quad.max_evals))
-    keys = [(shared, x) for x in xs.tolist()]
-    return np.array(_W_MEMO.fill(keys, lambda todo: _w_scaled_routed(
-        mu, rho, xs[todo], quad).tolist()), dtype=float)
+
+    def compute(todo):
+        # contiguous, so that the series route's .real view keeps no complex base alive
+        w = np.ascontiguousarray(_w_scaled_routed(mu, rho, xs, quad))
+        w.flags.writeable = False
+        return [w]
+
+    return _W_MEMO.fill([(shared, xs.tobytes())], compute)[0]
 
 
 def _w_scaled_routed(mu: float, rho: complex, xs: np.ndarray, quad: QuadSpec) -> np.ndarray:

@@ -37,8 +37,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -46,7 +47,7 @@ from .errors import (
     NonConvergence,
     PrecisionBudgetExceeded,
 )
-from .kernels import KernelKind, _inner_rel_tol, _kernel_eval_many, _kernel_eval_mp, \
+from .kernels import KernelKind, _inner_rel_tol, _kernel_columns, _kernel_eval_mp, \
     cylinder_sin_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
@@ -310,6 +311,9 @@ class SampledHandle(FunctionHandle):
             raise DomainError("sampled handle data must be finite")
         if xa[0] <= 0.0 or np.any(np.diff(xa) <= 0.0):
             raise DomainError("sample abscissae must be positive and strictly increasing")
+        # imported here: scipy.interpolate is large, and only sampled data need it
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(xa, va, extrapolate=False)
         self.support_end = float(xa[-1])
         self.support_start = float(xa[0])
@@ -444,6 +448,34 @@ def _pieces(f: FunctionHandle):
     return low, high
 
 
+def _low_node(v0: float, v: float) -> float:
+    return math.exp(-(v0 + v))
+
+
+def _high_node(t0: float, s: float) -> float:
+    return t0 + s
+
+
+# bounded: one entry per (piece, origin, power, level) of the outer integrals;
+# 60 invert cells use 29
+@lru_cache(maxsize=128)
+def _outer_nodes(node, origin: float, q: float, level: bytes):
+    """Read-only (distinct t, position of each node's t among them, t^q) of a level.
+
+    ``level`` holds the bytes of a level's nodes on a piece; t = node(origin,
+    x) and t^q are formed from Python floats, as a one-node call forms them.
+    The nodes crowding a piece's ends round to one t, and the integrand
+    family sees each distinct t once.
+    """
+    ts = [node(origin, x) for x in np.frombuffer(level).tolist()]
+    first = {}
+    at = np.array([first.setdefault(t, len(first)) for t in ts], dtype=np.intp)
+    out = np.array(list(first)), at, np.array([t ** q for t in ts])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
     """One (value, error) per row of int_0^inf H(t, rows) t^p dt (module docstring).
 
@@ -460,21 +492,16 @@ def _half_line(H, p: float, f: FunctionHandle, tols, spec: QuadSpec, name: str):
     parts = []
     # dt = t dv adds one power of t on (0, 1]
     for piece, node, q, decay, where in (
-            (low, lambda v0, v: math.exp(-(v0 + v)), p + 1.0, 2.0, "(0, 1]"),
-            (high, lambda t0, s: t0 + s, p, f.decay_scale, "[1, inf)")):
+            (low, _low_node, p + 1.0, 2.0, "(0, 1]"),
+            (high, _high_node, p, f.decay_scale, "[1, inf)")):
         if piece is None:
             parts.append([(0.0, 0.0)] * len(tols))
             continue
         origin, length = piece
 
         def G(xs, rows, origin=origin, node=node, q=q):
-            # nodes and powers from Python floats, as a one-node call forms them;
-            # the nodes crowding a piece's ends round to one t, and H sees each
-            # distinct t once
-            ts = [node(origin, x) for x in xs.tolist()]
-            first = {}
-            at = [first.setdefault(t, len(first)) for t in ts]
-            return H(np.array(list(first)), rows)[:, at] * np.array([t ** q for t in ts])
+            ts, at, tq = _outer_nodes(node, origin, q, xs.tobytes())
+            return H(ts, rows)[:, at] * tq
 
         if length == math.inf:
             rs = integrate_semi_infinite_rows(G, decay, tols, spec)
@@ -594,18 +621,15 @@ def _invert(kind: KernelKind, mu: float, f: FunctionHandle, ns,
     # amplification factor multiplies
     fspec = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_refinements=12)
 
-    kerr_seen = [0.0] * len(ns)
+    kerr_seen = np.zeros(len(ns))
 
     # one f call and one kernel call (every node, every open n) per level;
     # a row's kernel errors count only at the nodes its own integral visits
     def H(ts, rows):
-        cols = _kernel_eval_many(kind, mu, [ns[i] for i in rows], ts, [kspecs[i] for i in rows])
-        for col in cols:
-            for i, (_, e, _) in zip(rows, col):
-                if e > kerr_seen[i]:
-                    kerr_seen[i] = e
-        kernel = np.array([[float(np.real(v)) for v, _, _ in col] for col in cols])
-        return kernel.T * f(ts, fspec)
+        kernel, errs, _ = _kernel_columns(kind, mu, [ns[i] for i in rows], ts,
+                                          [kspecs[i] for i in rows])
+        kerr_seen[rows] = np.maximum(kerr_seen[rows], errs.max(axis=1, initial=0.0))
+        return kernel.real * f(ts, fspec)
 
     sums = _half_line(H, -1.5, f, outer_tols, ospec, "inversion integral")
     mass = _coarse_mass(f)

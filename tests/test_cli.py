@@ -47,6 +47,24 @@ class TestUsageAndConfig:
         assert main(["frobnicate", "--config", "x.json"]) == 2
         capsys.readouterr()
 
+    def test_one_parser_answers_every_request_alike(self, capsys, tmp_path):
+        # the parser is built once per process; help, version, usage errors
+        # and flags come out of it the same on every request
+        from diwt import __version__
+
+        for _ in range(2):
+            assert main(["--version"]) == 0
+            assert capsys.readouterr().out == f"diwt {__version__}\n"
+            assert main(["invert", "--help"]) == 0
+            assert "--config" in capsys.readouterr().out
+            assert main(["invert", "--seed", "x", "--config", "c.json"]) == 2
+            assert "invalid int value" in capsys.readouterr().err
+            args = cli._build_parser().parse_args(["eval", "--config", "c.json", "--quiet"])
+            assert (args.command, args.quiet, args.seed) == ("eval", True, None)
+            args = cli._build_parser().parse_args(["coeff", "--config", "c.json"])
+            assert (args.command, args.quiet, args.out) == ("coeff", False, None)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_missing_config_flag(self, capsys):
         assert main(["eval"]) == 2
         capsys.readouterr()

@@ -345,10 +345,13 @@ def _memo_batches(draw):
 @given(batch=_memo_batches())
 @example(batch=(KernelKind.CYLINDER_COS, 0.25, [1.0, complex(1.5, -0.5), 2.0],
                 [1e-14, 1e-11, 1e-9], [0.3, 2.5], [0, 2], [0.3]))
+@example(batch=(KernelKind.CYLINDER_COS, 0.25, [1.0, complex(1.5, -0.5), 2.0],
+                [1e-14, 1e-11, 1e-9], [0.3, 2.5], [0, 1], [0.3, 2.5]))
 def test_memo_warm_entries_equal_cold_ones(batch):
     # a batch warmed by a part of it (other indices, other x, maybe another
-    # row dtype) returns the bits of its cold call; the part hits exactly
-    # where its entries share the batch's index, abs_tol, x and dtype
+    # row dtype) returns the bits of its cold call; the part hits, one point
+    # per x, exactly at the indices whose column shares the batch's index,
+    # abs_tol and dtype over the same x in the same order
     kind, mu, ns, tols, xs, part_n, part_x = batch
     specs = [QuadSpec(abs_tol=t) for t in tols]
     kernels.kernel_memo_clear()
@@ -357,19 +360,21 @@ def test_memo_warm_entries_equal_cold_ones(batch):
     kernels._kernel_eval_many(kind, mu, [ns[i] for i in part_n], part_x,
                               [specs[i] for i in part_n])
     same_dtype = any(complex(n).imag for n in ns) == any(complex(ns[i]).imag for i in part_n)
-    stored = {(complex(ns[i]), tols[i], x) for i in part_n for x in part_x} if same_dtype else set()
+    stored = {(complex(ns[i]), tols[i]) for i in part_n} if same_dtype and part_x == xs else set()
     before = kernel_memo_info()
     warm = kernels._kernel_eval_many(kind, mu, ns, xs, specs)
     after = kernel_memo_info()
     assert warm == cold
-    assert after.hits - before.hits == sum((complex(n), t, x) in stored
-                                           for x in xs for n, t in zip(ns, tols))
+    assert after.hits - before.hits == len(xs) * sum((complex(n), t) in stored
+                                                     for n, t in zip(ns, tols))
     assert kernels._kernel_eval_many(kind, mu, ns, xs, specs) == cold
     assert kernel_memo_info().misses == after.misses
     kernels.kernel_memo_clear()
 
 
 def test_memo_evicts_least_recently_used(cold_memos, monkeypatch):
+    # the bound counts points, one per (index, x): a two-index column pair
+    # over two x takes 4
     monkeypatch.setattr(kernels._KERNEL_MEMO, "size", 4)
 
     def looked_up(*xs):
@@ -380,12 +385,14 @@ def test_memo_evicts_least_recently_used(cold_memos, monkeypatch):
         return after.hits - before.hits, after.misses - before.misses
 
     assert looked_up(0.5, 1.0) == (0, 4)
-    assert looked_up(0.5) == (2, 0)
-    assert looked_up(2.0) == (0, 2)  # evicts x = 1.0, used longest ago
+    assert looked_up(0.5, 1.0) == (4, 0)
+    assert looked_up(0.5) == (0, 2)  # evicts index 1 over (0.5, 1.0), used longest ago
     assert kernel_memo_info().entries == 4
+    assert looked_up(2.0) == (0, 2)  # evicts index 2 over (0.5, 1.0)
     assert looked_up(0.5) == (2, 0)
-    assert looked_up(2.0) == (2, 0)
-    assert looked_up(1.0) == (0, 2)
+    assert looked_up(1.0) == (0, 2)  # evicts both columns at 2.0
+    assert looked_up(2.0) == (0, 2)
+    assert looked_up(0.5, 1.0) == (0, 4)
     assert kernel_memo_info().entries == 4
 
 
@@ -419,3 +426,66 @@ def test_warm_inversion_grid_equals_cold(cold_memos):
     for cold_row, warm_row in zip(cold, warm):
         for c, w in zip(cold_row, warm_row):
             assert (w.value, w.error_bound, w.meta) == (c.value, c.error_bound, c.meta)
+
+
+def test_warm_inversion_with_new_coefficients_computes_nothing(cold_memos, monkeypatch):
+    # at a mu already seen, new coefficients reuse every kernel column and
+    # every W batch: no integral runs and the misses stay flat; the values
+    # are those of a cold run with both memos emptied
+    mu, params = 0.25, TransformParams(0.25)
+
+    def run(seq):
+        return invert_many(ForwardHandle(CoefficientSeq(seq), mu), params, [1, 2, 3])
+
+    run((1.0, 0.5, -0.25))
+    first, first_w = kernel_memo_info(), specfun.w_memo_info()
+
+    def no_compute(*args):
+        raise AssertionError("a warm request computed a kernel or a W value")
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_kernel_rows", no_compute)
+        m.setattr(specfun, "_w_scaled_routed", no_compute)
+        warm = run((-0.8, 1.2, 0.6))
+    assert kernel_memo_info().misses == first.misses
+    assert specfun.w_memo_info().misses == first_w.misses
+    assert kernel_memo_info().hits > first.hits and specfun.w_memo_info().hits > first_w.hits
+    cold_memos()
+    cold = run((-0.8, 1.2, 0.6))
+    for c, w in zip(cold, warm):
+        assert (w.value, w.error_bound, w.meta) == (c.value, c.error_bound, c.meta)
+
+
+def test_memo_columns_are_read_only(cold_memos):
+    # a caller cannot change a stored column in place
+    def columns():
+        return kernels._kernel_columns(KernelKind.ERFC_COS, 0.0, [1, 2], [0.5, 1.0],
+                                       [QuadSpec()] * 2)
+
+    cold = [a.copy() for a in columns()]
+    kernels._KERNEL_MEMO.clear()
+    columns()
+    stored = [a for entry in kernels._KERNEL_MEMO.values() for a in entry]
+    assert len(stored) == 6 and not any(a.flags.writeable for a in stored)
+    with pytest.raises(ValueError):
+        stored[0][0] = 0.0
+    warm = columns()
+    assert kernel_memo_info().hits == 4
+    assert all(np.array_equal(w, c) for w, c in zip(warm, cold))
+
+
+@pytest.mark.parametrize("other", [QuadSpec(rel_tol=1e-10), QuadSpec(max_refinements=13),
+                                   QuadSpec(max_evals=10_000), QuadSpec(dps=40),
+                                   QuadSpec(precision="extended")])
+def test_shared_node_specs_may_differ_in_abs_tol_only(other, cold_memos, monkeypatch):
+    # one u-integral serves every index, so its specs may differ in abs_tol
+    # alone; any other difference is refused before anything is integrated
+    monkeypatch.setattr(kernels, "_kernel_rows", _no_integral)
+    for call in (kernels._kernel_eval_many, kernels._kernel_columns):
+        with pytest.raises(ValueError, match="abs_tol only"):
+            call(KernelKind.ERFC_COS, 0.0, [1, 2], [0.5], [QuadSpec(), other])
+    assert tuple(kernel_memo_info()) == (0, 0, 0)
+    monkeypatch.undo()
+    got = kernels._kernel_eval_many(KernelKind.ERFC_COS, 0.0, [1, 2], [0.5],
+                                    [QuadSpec(), QuadSpec(abs_tol=1e-9)])
+    assert len(got) == 1 and len(got[0]) == 2

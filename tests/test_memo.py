@@ -44,6 +44,29 @@ def test_fill_evicts_the_least_recently_used(monkeypatch):
     assert memo.info() == (2, 5, 3)
 
 
+def test_fill_bounds_and_counts_points():
+    # an entry's points come from its key, here the key's length; the bound
+    # evicts least recently used entries until the stored points fit
+    memo = LRUMemo(5, points=len)
+    assert _fill(memo, ["ab", "c"]) == (["ab" * 10, "c" * 10], [[0, 1]])
+    assert memo.info() == (0, 3, 3)
+    _fill(memo, ["ab"])
+    assert _fill(memo, ["def"]) == (["def" * 10], [[0]])  # 6 points: evicts "c"
+    assert list(memo) == ["ab", "def"] and memo.info() == (2, 6, 5)
+    _fill(memo, ["gh"])  # evicts "ab", used longest ago
+    assert list(memo) == ["def", "gh"] and memo.info() == (2, 8, 5)
+
+
+def test_fill_never_stores_an_entry_past_the_bound():
+    # an entry of more points than the bound is returned, counted as missed
+    # each time, and stored nowhere; it evicts nothing
+    memo = LRUMemo(3, points=len)
+    _fill(memo, ["ab"])
+    for _ in range(2):
+        assert _fill(memo, ["wxyz", "ab"]) == (["wxyz" * 10, "ab" * 10], [[0]])
+    assert list(memo) == ["ab"] and memo.info() == (4, 10, 2)
+
+
 def test_fill_stores_nothing_when_compute_raises():
     memo = LRUMemo(8)
     _fill(memo, [1])

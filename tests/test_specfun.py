@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diwt import quad, specfun
 from diwt.errors import DomainError, NonConvergence, OrderError, PoleError, \
@@ -806,10 +806,13 @@ def _w_memo_batches(draw):
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(batch=_w_memo_batches())
+@example(batch=(0.25, 1j, QuadSpec(), [0.003, 0.7], (0.25, 1j, QuadSpec(abs_tol=1e-10),
+                                                     [0.003, 0.7])))
 def test_w_memo_warm_values_equal_cold_ones(batch):
     # a batch warmed by another call returns the bits of its cold call, on
-    # the series and the contour alike; it hits exactly at the x whose key
-    # (mu, rho, x, rel_tol, max_refinements, max_evals) the warming call stored
+    # the series and the contour alike; it hits, one point per x, exactly
+    # when the warming call stored its key (mu, rho, rel_tol, max_refinements,
+    # max_evals and the same x in the same order)
     mu, rho, spec, xs, (p_mu, p_rho, p_spec, p_xs) = batch
     specfun.w_memo_clear()
     cold = specfun._w_scaled_many(mu, rho, xs, spec)
@@ -820,7 +823,7 @@ def test_w_memo_warm_values_equal_cold_ones(batch):
     warm = specfun._w_scaled_many(mu, rho, xs, spec)
     after = specfun.w_memo_info()
     assert np.array_equal(warm, cold)
-    assert after.hits - before.hits == (sum(x in p_xs for x in xs) if same else 0)
+    assert after.hits - before.hits == (len(xs) if same and p_xs == xs else 0)
     assert np.array_equal(specfun._w_scaled_many(mu, rho, xs, spec), cold)
     assert specfun.w_memo_info().misses == after.misses
     specfun.w_memo_clear()
@@ -837,12 +840,43 @@ def test_w_memo_evicts_least_recently_used(cold_memos, monkeypatch):
         return after.hits - before.hits, after.misses - before.misses
 
     assert looked_up(0.01, 0.5, 1.0, 2.0) == (0, 4)
+    assert looked_up(0.01, 0.5, 1.0, 2.0) == (4, 0)
+    assert looked_up(0.01) == (0, 1)  # another batch: evicts the 4 points
+    assert specfun.w_memo_info().entries == 1
+    for x in (0.5, 1.0, 2.0):
+        assert looked_up(x) == (0, 1)
     assert looked_up(0.01) == (1, 0)
     assert looked_up(3.0) == (0, 1)  # evicts x = 0.5, used longest ago
     assert specfun.w_memo_info().entries == 4
-    assert looked_up(0.01, 1.0, 2.0, 3.0) == (4, 0)
+    assert looked_up(0.01) == (1, 0)
     assert looked_up(0.5) == (0, 1)
     assert specfun.w_memo_info().entries == 4
+
+
+def test_w_memo_never_stores_a_batch_past_its_bound(cold_memos, monkeypatch):
+    # a batch of more points than the bound is computed and returned, with
+    # the bits of its points alone, but stored nowhere and evicting nothing
+    monkeypatch.setattr(specfun._W_MEMO, "size", 4)
+    small = specfun._w_scaled_many(0.25, 1j, [0.01, 2.0])
+    xs = [0.01, 0.5, 1.0, 2.0, 3.0]
+    alone = [specfun._w_scaled_many(0.25, 1j, [x])[0] for x in xs]
+    cold_memos()
+    specfun._w_scaled_many(0.25, 1j, [0.01, 2.0])
+    for _ in range(2):
+        assert specfun._w_scaled_many(0.25, 1j, xs).tolist() == alone
+    assert specfun.w_memo_info() == (0, 12, 2)
+    assert np.array_equal(specfun._w_scaled_many(0.25, 1j, [0.01, 2.0]), small)
+    assert specfun.w_memo_info() == (2, 12, 2)
+
+
+def test_w_memo_values_are_read_only(cold_memos):
+    # a caller cannot change a stored batch in place
+    cold = specfun._w_scaled_many(0.25, 1j, [0.01, 2.0]).copy()
+    warm = specfun._w_scaled_many(0.25, 1j, [0.01, 2.0])
+    assert specfun.w_memo_info().hits == 2
+    with pytest.raises(ValueError):
+        warm[0] = 0.0
+    assert np.array_equal(specfun._w_scaled_many(0.25, 1j, [0.01, 2.0]), cold)
 
 
 def test_w_memo_never_stores_a_refused_batch(cold_memos, monkeypatch):
