@@ -17,7 +17,8 @@ Three kernels are provided:
   special case the first kernel reduces to when mu = 0.
 * ``cylinder_sin_kernel``  -- scaled cylinder profile (one order lower)
   times sinh(u) sin(n u), integrated over the symmetric interval; this is
-  the synthesis kernel.
+  the synthesis kernel, and ``transforms.ProfileHandle`` sums its columns,
+  weighted by the profile's sine coefficients, to build f from a profile.
 
 A kernel request is valid when x > 0, mu < 1/2 for the two cylinder
 kernels (the erfc kernel ignores mu), and the index is a positive integer

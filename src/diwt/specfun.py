@@ -820,7 +820,7 @@ _W_SERIES_MU = 10.0
 # after 60 invert cells (202 when each x was its own entry); those cells
 # (3 mus, n 1..3) leave about 13,600 points and 20 coeff-profile cells about
 # 5,100.
-_W_MEMO = LRUMemo(1 << 14, points=lambda key: len(key[1]) >> 3)
+_W_MEMO = LRUMemo(1 << 14, points=lambda key: len(key[-1]) >> 3)
 
 
 def w_memo_info() -> MemoInfo:
@@ -853,10 +853,6 @@ def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -
     that raises stores nothing.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    # what every x shares, as one string: a str keeps its hash, so a key
-    # hashes without walking the shared fields again (repr keeps every bit)
-    shared = repr((float(mu), rho.real, rho.imag, quad.rel_tol, quad.max_refinements,
-                   quad.max_evals))
 
     def compute(todo):
         # contiguous, so that the series route's .real view keeps no complex base alive
@@ -864,7 +860,10 @@ def _w_scaled_many(mu: float, rho: complex, xs, quad: QuadSpec = DEFAULT_SPEC) -
         w.flags.writeable = False
         return [w]
 
-    return _W_MEMO.fill([(shared, xs.tobytes())], compute)[0]
+    # plain numbers and bytes in one flat tuple: built and hashed in C
+    key = (float(mu), rho.real, rho.imag, quad.rel_tol, quad.max_refinements, quad.max_evals,
+           xs.tobytes())
+    return _W_MEMO.fill([key], compute)[0]
 
 
 def _w_scaled_routed(mu: float, rho: complex, xs: np.ndarray, quad: QuadSpec) -> np.ndarray:

@@ -29,7 +29,8 @@ factor n*sinh(2*pi*n) multiplies every quadrature and kernel error, and
 honesty about that growth is part of the interface.  Functions enter the
 integrals through immutable handles; analytic handles (forward series,
 trigonometric profile) are the only ones with recovery guarantees, and
-sampled-grid handles warn accordingly.
+sampled-grid handles warn accordingly.  The trigonometric-profile handle
+is a sum of memoized sine-kernel columns, the kernel that synthesis uses.
 """
 
 from __future__ import annotations
@@ -47,13 +48,11 @@ from .errors import (
     NonConvergence,
     PrecisionBudgetExceeded,
 )
-from .kernels import KernelKind, _inner_rel_tol, _kernel_columns, _kernel_eval_mp, \
-    cylinder_sin_kernel
+from .kernels import KernelKind, _kernel_columns, _kernel_eval_mp, cylinder_sin_kernel
 from .quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from .specfun import _cyl_profile, _order_below_half, _positive, _positive_index, \
-    _positive_points, _w_mb_extended, _w_scaled_many, gamma_abs_squared, \
-    parabolic_cylinder_d_scaled
+from .specfun import _order_below_half, _positive, _positive_index, _positive_points, \
+    _w_mb_extended, _w_scaled_many, gamma_abs_squared, parabolic_cylinder_d_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +147,7 @@ class FourierPolynomial:
 
     def evaluate(self, u):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for k, b in enumerate(self.sine_coeffs, 1):
-            if b:
-                out += b * np.sin(k * u)
+        out = self.odd_sine_part(u)
         for k, c in enumerate(self.cosine_coeffs):
             if c:
                 out += c * np.cos(k * u) if k else c * np.ones_like(u)
@@ -225,6 +221,9 @@ class ForwardHandle(FunctionHandle):
 class ProfileHandle(FunctionHandle):
     """f built from a trigonometric profile by the cylinder-weighted integral.
 
+    The integral is linear in the profile, and only its sine part
+    psi = sum b_k sin(ku) survives, so f(x) = Gamma(2 - 2 mu) (2x)^{1 - mu}
+    sum_k b_k K_k(mu; x) with K_k the sine kernel of ``cylinder_sin_kernel``.
     Bounded but not decaying at infinity: fine as coefficient-transform
     input, where the scaled Whittaker weight supplies the decay.
     """
@@ -235,13 +234,15 @@ class ProfileHandle(FunctionHandle):
         self.is_zero = not any(profile.sine_coeffs)
 
     def __call__(self, x, quad: QuadSpec = DEFAULT_SPEC):
-        """f at every x, as ``function_from_profile`` gives it, in one row-wise u-integral.
+        """f at every x, as ``function_from_profile`` gives it, from sine-kernel columns.
 
-        The rows are the x; each u level makes one cylinder call on
-        outer(sqrt(2x), cosh u) for the x still open, once per distinct
-        cosh u.  Cylinder D and the row rule keep every point and row
-        independent of the batch, so each value is the one-x value bit for
-        bit.  Extended precision runs one x at a time.
+        One ``_kernel_columns`` call covers the nonzero harmonics over all
+        x, each at abs_tol / max(1, sum |b_k|), so that the weighted errors
+        sum to at most abs_tol and no harmonic runs looser than abs_tol.
+        The columns come from the kernel memo when seen before (at this mu
+        and x batch, any profile with sum |b_k| <= 1 shares them), and each
+        is independent of its batch, so each value is the one-x value bit
+        for bit.  Extended precision runs one x at a time.
         """
         xs, shape = _positive_points(x, "function_from_profile")
         if self.is_zero:
@@ -250,28 +251,26 @@ class ProfileHandle(FunctionHandle):
             # mpmath evaluates one x at a time
             out = np.array([float(self._eval_mp(t, quad.dps)) for t in xs.tolist()])
         else:
-            out = np.array(self._row_integral(xs, quad))
+            out = np.array(self._from_kernels(xs, quad))
         out = out.reshape(shape)
         return out[()] if out.shape == () else out
 
-    def _row_integral(self, xs: np.ndarray, quad: QuadSpec) -> list[float]:
-        mu = self.mu
-        alpha = 2.0 - 2.0 * mu
-        root2x = np.sqrt(2.0 * xs)
-        inner = _inner_rel_tol(quad)
-
-        def h(u, rows):
-            return _cyl_profile(alpha, root2x[rows], u, inner) \
-                * np.sinh(u) * self.profile.odd_sine_part(u)
-
-        rs = integrate_finite_rows(h, 0.0, math.pi, [quad.abs_tol] * xs.size, quad)
-        out = []
-        for x, r in zip(xs.tolist(), rs):
-            if not r.converged:
-                raise NonConvergence(
-                    f"profile integral at x={x} stalled at error {r.error_estimate:.2e}")
-            out.append(math.gamma(2.0 * (1.0 - mu)) * (2.0 * x) ** (1.0 - mu) * 2.0 * r.value)
-        return out
+    def _from_kernels(self, xs: np.ndarray, quad: QuadSpec) -> list[float]:
+        terms = [(k, b) for k, b in enumerate(self.profile.sine_coeffs, 1) if b]
+        # sum |b_k| tol_k <= abs_tol, and no harmonic runs looser than abs_tol
+        spec = replace(quad, abs_tol=quad.abs_tol / max(1.0, sum(abs(b) for _, b in terms)))
+        values, errors, converged = _kernel_columns(
+            KernelKind.CYLINDER_SIN, self.mu, [k for k, _ in terms], xs, [spec] * len(terms))
+        stalled = np.flatnonzero(~converged.all(axis=0))
+        if stalled.size:
+            i = stalled[0]
+            err = sum(abs(b) * e for (_, b), e in zip(terms, errors[:, i].tolist()))
+            raise NonConvergence(
+                f"profile integral at x={xs[i]} stalled at error {err:.2e}")
+        total = sum(b * v for (_, b), v in zip(terms, values))
+        pref = math.gamma(2.0 * (1.0 - self.mu))
+        return [pref * (2.0 * x) ** (1.0 - self.mu) * s
+                for x, s in zip(xs.tolist(), total.tolist())]
 
     def _eval_mp(self, t, dps: int):
         import mpmath as mp

@@ -22,7 +22,7 @@ from diwt.errors import (DomainError, IntegrabilityWarning, NonConvergence,
                          OrderError, PrecisionBudgetExceeded)
 from diwt.quad import DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_finite_rows, \
     integrate_semi_infinite_rows
-from diwt.kernels import cylinder_cos_kernel
+from diwt.kernels import cylinder_cos_kernel, kernel_memo_info
 from diwt.specfun import WhittakerOrder, bessel_k_imag, whittaker_w_bessel, whittaker_w_mb
 from diwt.transforms import (CoefficientSeq, ForwardHandle, FourierPolynomial,
                              FunctionHandle, InversionResult, ProfileHandle,
@@ -623,6 +623,40 @@ class TestProfileAndSynthesis:
         assert got.shape == x.shape
         for g, xi in zip(got.ravel().tolist(), x.ravel().tolist()):
             assert g == function_from_profile(p, 0.25, xi)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.25, 0.45])
+    def test_handle_from_kernels_matches_oracles(self, mu):
+        # sum |b| > 1: each sine-kernel column runs at abs_tol / sum |b|
+        p = FourierPolynomial(sine_coeffs=(1.5, -2.0, 0.5))
+        xs = [1e-4, 0.5, 3.0, 11.0]
+        got = ProfileHandle(p, mu)(np.array(xs))
+        for g, x in zip(got.tolist(), xs):
+            full = _function_from_profile_full_range(p, mu, x)
+            assert g == pytest.approx(full, rel=1e-11, abs=1e-13)
+            exact = float(ProfileHandle(p, mu)._eval_mp(x, 30))
+            assert g == pytest.approx(exact, rel=1e-12)
+
+    def test_handle_reads_kernel_memo_when_sum_at_most_one(self, cold_memos):
+        # sum |b| <= 1 keeps abs_tol, so the columns are shared across such
+        # profiles; sum |b| > 1 tightens it and stores columns of its own
+        xs = np.array([0.02, 0.5, 3.0, 11.0])
+        ProfileHandle(FourierPolynomial(sine_coeffs=(0.6, -0.3, 0.1)), 0.25)(xs)
+        before = kernel_memo_info()
+        ProfileHandle(FourierPolynomial(sine_coeffs=(0.0, 0.5, -0.2)), 0.25)(xs)
+        after = kernel_memo_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == 2 * xs.size
+        ProfileHandle(FourierPolynomial(sine_coeffs=(0.0, 1.5)), 0.25)(xs)
+        assert kernel_memo_info().misses - after.misses == xs.size
+        assert kernel_memo_info().entries == after.entries + xs.size
+
+    def test_unit_sine_handle_value_pinned(self):
+        # one harmonic with b = 1 is its sine-kernel column times the
+        # prefactor, with the bits of the direct profile integral
+        h = ProfileHandle(FourierPolynomial(sine_coeffs=(1.0,)), 0.25)
+        assert h(2.0) == float.fromhex("0x1.a6f29fdc8c5cdp+0")
+        h = ProfileHandle(FourierPolynomial(sine_coeffs=(0.0, 1.0)), 0.0)
+        assert h(0.5) == float.fromhex("0x1.2fe120bc7865fp-4")
 
     def test_cosine_only_profile_gives_zero(self):
         p = FourierPolynomial(cosine_coeffs=(2.0, -1.0))
